@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import click
@@ -150,6 +150,16 @@ def _params_payload(cfg):
     return out
 
 
+def _moment_table(cfg):
+    """The kernel moment table of zeta or dirichlet; None for other families."""
+    if cfg.function == "zeta":
+        return riemann_moments(cfg.order, cfg.precision)
+    if cfg.function == "dirichlet":
+        chi = kronecker_character(cfg.discriminant)
+        return dirichlet_moments(chi, cfg.order, cfg.precision)
+    return None
+
+
 def _series_for(cfg):
     p = cfg.precision
     if cfg.function == "sinc":
@@ -162,11 +172,8 @@ def _series_for(cfg):
         return qbessel_sigmas(QBesselParams(nu=cfg.nu, q=cfg.q), cfg.order, p)
     if cfg.function == "qairy":
         return qairy_sigmas(cfg.q, cfg.order, p)
-    if cfg.function == "zeta":
-        return riemann_moments(cfg.order, p).series()
-    if cfg.function == "dirichlet":
-        chi = kronecker_character(cfg.discriminant)
-        return dirichlet_moments(chi, cfg.order, p).series()
+    if cfg.function in ("zeta", "dirichlet"):
+        return _moment_table(cfg).series()
     raise ConfigurationError(f"unknown function {cfg.function!r}")
 
 
@@ -374,7 +381,8 @@ def _closed_form_values(cfg, series, kmax, prec):
 def _verify_checks(cfg, oracle_flag, count):
     p = cfg.precision
     checks = []
-    series = _series_for(cfg)
+    table = _moment_table(cfg)
+    series = _series_for(cfg) if table is None else table.series()
     tol = mp.mpf(10) ** (-(p - 15))
 
     rec = power_sums_recurrence(series)
@@ -420,13 +428,10 @@ def _verify_checks(cfg, oracle_flag, count):
             )
         elif cfg.function in ("zeta", "dirichlet"):
             if cfg.function == "zeta":
-                table = riemann_moments(cfg.order, p)
                 kmax = min(cfg.order, 4)
                 vals = [riemann_s_closed(table.b, k, p) for k in range(1, kmax + 1)]
                 label = "rational closed forms in the kernel moments"
             else:
-                chi = kronecker_character(cfg.discriminant)
-                table = dirichlet_moments(chi, cfg.order, p)
                 kmax = 1
                 vals = [table.b[1] / (2 * table.b[0])]
                 label = "first-order closed form b1/(2*b0)"
@@ -465,8 +470,13 @@ def _locate_zeros(cfg, count):
     p = cfg.precision
     k = count if count is not None else _ORACLE_COUNTS[cfg.function]
     if cfg.function == "sinc":
-        # the reduced half-order series has exactly the sine zeros
-        return zero_oracle.bessel_zeros(Fraction(1, 2), k, p)
+        # sin(z)/z is the half-order Bessel function; its zeros k*pi,
+        # divided by pi, are the zeros k of sin(pi x)/(pi x)
+        zl = zero_oracle.bessel_zeros(Fraction(1, 2), k, p)
+        with working(p, 15):
+            return replace(
+                zl, zeros=tuple(z / mp.pi for z in zl.zeros), tol=zl.tol / mp.pi, note=""
+            )
     if cfg.function == "bessel":
         return zero_oracle.bessel_zeros(cfg.nu, k, p)
     if cfg.function == "airy":
@@ -562,10 +572,7 @@ def cmd_moments(function, nu, q, discriminant, precision, fmt, order):
                 f"moments apply only to zeta and dirichlet, not {cfg.function}"
             )
         p = cfg.precision
-        if cfg.function == "zeta":
-            table = riemann_moments(cfg.order, p)
-        else:
-            table = dirichlet_moments(kronecker_character(cfg.discriminant), cfg.order, p)
+        table = _moment_table(cfg)
         params = _params_payload(cfg)
         if table.parity is not None:
             params["parity"] = table.parity

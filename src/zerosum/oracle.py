@@ -743,7 +743,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, config=None, chi=None):
         else:
             t_end = 18.0 + 3.2 * count
             scan_lo = mpf(1) / 4
-        ev.calibrate_transform([t_end, t_end / 2, max(12.0, t_end / 5)])
+        _, bulk_err = ev.calibrate_transform([t_end, t_end / 2, max(12.0, t_end / 5)])
 
         def f(z):
             return ev.transform_at(z)[0]
@@ -793,7 +793,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, config=None, chi=None):
             tol=+xtol,
             tol_kind="absolute",
             modulus=1 if chi is None else chi.modulus,
-            note=f"transform error bound {mp.nstr(ev.transform_at(zeros[0])[1], 3)}",
+            note=f"transform error bound {mp.nstr(bulk_err, 3)}",
         )
 
 

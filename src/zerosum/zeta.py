@@ -6,10 +6,15 @@ feed the Newton routes, and their cosine transforms locate zeros on the
 critical line.  Quadrature is composite Gauss-Legendre on [0, t_cutoff]
 with the panel count doubled until two successive refinements agree.
 
-The kernels suffer catastrophic cancellation for t of a few units (the
-summands are exponentially larger than the doubly-exponentially small
-value), so evaluation is adaptive: working digits are raised until the
-measured cancellation is cleared, or an absolute error target is met.
+Both kernels are even in t: for the Riemann kernel this is Polya's form
+(Titchmarsh, The Theory of the Riemann Zeta-Function, section 10.1), and
+for a real primitive character it is the theta functional equation.  So
+each kernel is summed at -|t|, where the theta argument exp(2|t|) is at
+least 1: the series converges doubly exponentially, its largest term is
+within a few digits of its value, and one pass at fixed working digits
+meets the target.  A table that is not a real primitive character breaks
+the symmetry, so every kernel of a caller's character is gated by the
+theta self-check first.
 """
 
 from __future__ import annotations
@@ -42,15 +47,12 @@ class QuadratureConfig:
         defaults to precision + 15.
     t_cutoff: upper integration limit; defaults to the closed-form decay
         envelope solve for the target.
-    series_cutoff: hard cap on kernel series terms per node; defaults to
-        an estimate recorded at build time.
     points: Gauss-Legendre points per panel.
     max_doublings: refinement budget (panels = 2, 4, 8, ...).
     """
 
     target_digits: int = 0
     t_cutoff: object = None
-    series_cutoff: int = 0
     points: int = 24
     max_doublings: int = 10
 
@@ -82,119 +84,97 @@ def _kernel_shape(chi):
     return chi.modulus, 0.5 + chi.parity, 6.0
 
 
-def _phi_pass(chi, t, dps, eps_rel=None, stop_abs=None, term_cap=None):
-    """One fixed-precision pass over the kernel series at the point t.
+def _theta_sum(base, coef, bound, stop_abs=None, eps_rel=None):
+    """Sum coef(n) * base^(n^2) over n >= 1 at the ambient precision.
+
+    bound(n) >= |coef(n)|.  Once base^(2n+1) <= 1/2 the remaining tail is
+    below 32 bound(n) base^(n^2) (geometric continuation); the sum stops
+    when that is under stop_abs, or under eps_rel times the largest term
+    so far.  Returns (total, max_term_magnitude, terms_used).
+    """
+    # base^(n^2) via E *= G, G = base^(2n+1)
+    e_pow = base
+    g_pow = base**3
+    b_sq = base * base
+    total = mp.zero
+    maxmag = mp.zero
+    n = 1
+    while n <= _SERIES_TERM_CAP:
+        term = coef(n) * e_pow
+        total += term
+        mag = abs(term)
+        if mag > maxmag:
+            maxmag = mag
+        if g_pow <= mpf(1) / 2:
+            tail = bound(n) * e_pow * 32
+            if stop_abs is not None and tail < stop_abs:
+                break
+            if eps_rel is not None and maxmag > 0 and tail < eps_rel * maxmag:
+                break
+        e_pow *= g_pow
+        g_pow *= b_sq
+        n += 1
+    else:
+        raise AccuracyError("theta series did not converge within the term cap")
+    return total, maxmag, n
+
+
+def _character_coef(chi, scale=1):
+    # theta coefficients scale * n^parity * chi(n)
+    return lambda n: scale * n**chi.parity * chi(n)
+
+
+def _phi_pass(chi, t, dps, eps_rel=None, stop_abs=None):
+    """One fixed-precision pass over the kernel series at the point -|t|.
 
     Exactly one of eps_rel / stop_abs drives truncation.  Returns
     (total, max_term_magnitude, terms_used).
     """
-    cap = term_cap or _SERIES_TERM_CAP
     with mp.workdps(dps):
-        tv = to_real(t, max(dps - 15, 30))
-        x = mp.exp(-2 * tv)
+        tv = abs(to_real(t, max(dps - 15, 30)))
+        x = mp.exp(2 * tv)
         if chi is None:
             base = mp.exp(-mp.pi * x)
-            c9 = 8 * mp.pi**2 * mp.exp(-mpf(9) / 2 * tv)
-            c5 = 12 * mp.pi * mp.exp(-mpf(5) / 2 * tv)
+            c9 = 8 * mp.pi**2 * mp.exp(mpf(9) / 2 * tv)
+            c5 = 12 * mp.pi * mp.exp(mpf(5) / 2 * tv)
+            coef = lambda n: (c9 * n * n - c5) * n * n
+            bound = lambda n: (c9 * n * n + c5) * n * n
         else:
-            m = chi.modulus
-            parity = chi.parity
-            base = mp.exp(-mp.pi * x / m)
-            pref = 4 * mp.exp(-(mpf(1) + 2 * parity) / 2 * tv)
-        # base^(n^2) via E *= G, G = base^(2n+1)
-        e_pow = base
-        g_pow = base**3
-        b_sq = base * base
-        total = mp.zero
-        maxmag = mp.zero
-        n = 1
-        while n <= cap:
-            if chi is None:
-                term = (c9 * n**4 - c5 * n * n) * e_pow
-                bound = (c9 * n**4 + c5 * n * n) * e_pow
-            else:
-                cv = chi(n)
-                weight = n if parity else 1
-                term = pref * weight * cv * e_pow if cv else mp.zero
-                bound = pref * (n + 1) * e_pow
-            total += term
-            mag = abs(term)
-            if mag > maxmag:
-                maxmag = mag
-            # geometric continuation: once base^(2n+1) <= 1/2, the
-            # remaining tail is below 32x the current term bound
-            if g_pow <= mpf(1) / 2:
-                if stop_abs is not None and bound * 32 < stop_abs:
-                    break
-                if eps_rel is not None and maxmag > 0 and bound * 32 < eps_rel * maxmag:
-                    break
-            e_pow *= g_pow
-            g_pow *= b_sq
-            n += 1
-        else:
-            raise AccuracyError("kernel series did not converge within the term cap")
-        return +total, +maxmag, n
+            base = mp.exp(-mp.pi * x / chi.modulus)
+            pref = 4 * mp.exp((mpf(1) + 2 * chi.parity) / 2 * tv)
+            coef = _character_coef(chi, pref)
+            bound = lambda n: pref * (n + 1)
+        total, maxmag, nterms = _theta_sum(base, coef, bound, stop_abs, eps_rel)
+        return +total, +maxmag, nterms
 
 
-def _cancellation_estimate(chi, t):
-    # decimal digits lost to cancellation when summing at the point t
-    m, alpha, _ = _kernel_shape(chi)
-    try:
-        tf = float(to_real(t, 30))
-        growth = (math.pi / m) * math.exp(2 * tf) - (alpha + 0.5) * tf
-    except OverflowError:
-        return None
-    if tf <= 0:
-        return 0.0
-    return max(0.0, 0.4343 * growth) + 8.0
-
-
-def _phi_with_error(chi, t, abs_tol, term_cap=None):
-    """Kernel value with a certified absolute error bound (abs_tol mode)."""
+def _phi_with_error(chi, t, abs_tol):
+    """Kernel value and a certified absolute error bound below abs_tol."""
     with mp.workdps(40):
         tol = abs(to_real(abs_tol, 30))
         if tol == 0:
             raise DomainError("abs_tol must be nonzero")
         need = -mp.log10(tol)
     dps = int(need) + 20
-    for _ in range(8):
-        total, maxmag, nterms = _phi_pass(
-            chi, t, dps, stop_abs=tol / 8, term_cap=term_cap
-        )
-        with mp.workdps(30):
-            round_err = (nterms + 5) * maxmag * mpf(10) ** (1 - dps) + tol / 4
-            if round_err <= tol:
-                return total, +round_err, nterms
-            dps += int(mp.log10(round_err / tol)) + 12
-    raise AccuracyError("kernel value did not reach the absolute error target")
+    total, maxmag, nterms = _phi_pass(chi, t, dps, stop_abs=tol / 8)
+    with mp.workdps(30):
+        round_err = (nterms + 5) * maxmag * mpf(10) ** (1 - dps) + tol / 4
+        if not round_err <= tol:
+            raise AccuracyError("kernel value did not reach the absolute error target")
+        return total, +round_err
 
 
 def _phi_relative(chi, t, prec):
     """Kernel value verified to `prec` significant digits."""
-    est = _cancellation_estimate(chi, t)
-    if est is None:
-        raise AccuracyError("kernel argument too large for relative evaluation")
-    dps = prec + 18 + int(est)
-    hard_cap = prec + 200 + 4 * int(est)
-    for _ in range(10):
-        eps = mpf(10) ** (-(dps - 3))
-        total, maxmag, nterms = _phi_pass(chi, t, dps, eps_rel=eps)
-        if total != 0 and maxmag > 0:
-            with mp.workdps(30):
-                lost = float(mp.log10(maxmag / abs(total)))
-            slack = dps - lost - math.log10(nterms + 1.0) - prec
-            if slack >= 3:
-                with working(prec):
-                    return +total
-            dps = int(lost) + prec + 18 + int(math.log10(nterms + 1.0))
-        else:
-            dps *= 2
-        if dps > hard_cap:
-            raise AccuracyError(
-                "cancellation exceeded the working-precision budget; "
-                "use the absolute-tolerance mode for points this deep"
-            )
-    raise AccuracyError("kernel evaluation did not stabilize")
+    dps = prec + 18
+    total, maxmag, nterms = _phi_pass(chi, t, dps, eps_rel=mpf(10) ** (-(dps - 3)))
+    if total != 0:
+        with mp.workdps(30):
+            lost = float(mp.log10(maxmag / abs(total)))
+        if dps - lost - math.log10(nterms + 1.0) - prec >= 3:
+            with working(prec):
+                return +total
+    raise AccuracyError("kernel value did not reach the relative precision target")
 
 
 def phi_riemann(t, prec=DEFAULT_PREC, abs_tol=None):
@@ -207,8 +187,7 @@ def phi_riemann(t, prec=DEFAULT_PREC, abs_tol=None):
     """
     check_precision(prec)
     if abs_tol is not None:
-        value, _, _ = _phi_with_error(None, t, abs_tol)
-        return value
+        return _phi_with_error(None, t, abs_tol)[0]
     value = _phi_relative(None, t, prec)
     if not value > 0:
         raise AccuracyError(f"kernel density came out non-positive at t = {t}")
@@ -216,11 +195,14 @@ def phi_riemann(t, prec=DEFAULT_PREC, abs_tol=None):
 
 
 def phi_chi(t, chi, prec=DEFAULT_PREC, abs_tol=None):
-    """Dirichlet heat-kernel density at t for a real primitive character."""
+    """Dirichlet heat-kernel density at t for a real primitive character.
+
+    The table is gated by the theta self-check; modes as in phi_riemann.
+    """
     check_precision(prec)
+    _theta_gate(chi, prec)
     if abs_tol is not None:
-        value, _, _ = _phi_with_error(chi, t, abs_tol)
-        return value
+        return _phi_with_error(chi, t, abs_tol)[0]
     return _phi_relative(chi, t, prec)
 
 
@@ -234,38 +216,37 @@ def theta_selfcheck(chi, x, prec=DEFAULT_PREC):
     primitivity gate for user-supplied tables.
     """
     check_precision(prec)
-    m = chi.modulus
-    parity = chi.parity
     with working(prec, 25):
         xv = to_real(x, prec + 20)
         if not xv > 0:
             raise DomainError("theta self-check needs x > 0")
         eps = mpf(10) ** (-(prec + 20))
+        coef = _character_coef(chi)
 
         def half_sum(y):
-            base = mp.exp(-mp.pi * y / m)
-            e_pow = base
-            g_pow = base**3
-            b_sq = base * base
-            tot = mp.zero
-            n = 1
-            while n <= _SERIES_TERM_CAP:
-                cv = chi(n)
-                if cv:
-                    tot += (n * cv if parity else cv) * e_pow
-                if g_pow <= mpf(1) / 2 and (n + 1) * e_pow * 32 < eps:
-                    break
-                e_pow *= g_pow
-                g_pow *= b_sq
-                n += 1
-            else:
-                raise AccuracyError("theta series did not converge")
-            return tot
+            base = mp.exp(-mp.pi * y / chi.modulus)
+            return _theta_sum(base, coef, lambda n: n + 1, stop_abs=eps)[0]
 
         lhs = 2 * half_sum(xv)
         rhs = 2 * half_sum(1 / xv)
-        rhs *= 1 / mp.sqrt(xv) if parity == 0 else xv ** mpf("-1.5")
+        rhs *= 1 / mp.sqrt(xv) if chi.parity == 0 else xv ** mpf("-1.5")
         return +abs(lhs - rhs)
+
+
+_THETA_GATE_POINTS = ("0.5", "1", "2")
+
+
+def _theta_gate(chi, prec):
+    # summing at -|t| is exact only for a real primitive character
+    for x in _THETA_GATE_POINTS:
+        residual = theta_selfcheck(chi, x, prec)
+        with mp.workdps(40):
+            if residual > mpf(10) ** (-(prec - 10)):
+                raise DomainError(
+                    f"character table fails the theta self-check at x = {x} "
+                    f"(residual {mp.nstr(residual, 5)}); table is not a real "
+                    "primitive character"
+                )
 
 
 def _solve_t_cutoff(m, alpha, const, target, order):
@@ -293,13 +274,16 @@ def _tail_bound(m, alpha, const, t_cut, order):
 class XiEvaluator:
     """Cosine transform and moment table of one kernel, with a cached grid.
 
-    chi = None selects the Riemann kernel.  The kernel values at the
+    chi = None selects the Riemann kernel; any other chi must pass the
+    theta self-check, or DomainError is raised.  The kernel values at the
     quadrature nodes are computed once per refinement level and reused
     across every moment order and every transform argument.
     """
 
     def __init__(self, chi=None, prec=DEFAULT_PREC, config=None):
         check_precision(prec)
+        if chi is not None:
+            _theta_gate(chi, prec)
         self.chi = chi
         self.prec = prec
         cfg = config or QuadratureConfig()
@@ -320,7 +304,6 @@ class XiEvaluator:
         self.target_digits = target
         self.points = cfg.points
         self.max_doublings = cfg.max_doublings
-        self.series_cutoff = cfg.series_cutoff or None
         self._alpha = alpha
         self._const = const
         self._dps = target + 25
@@ -329,7 +312,6 @@ class XiEvaluator:
         with mp.workdps(40):
             self._node_tol = mpf(10) ** (-(target + 6)) / (2 * self.t_cutoff)
         self._levels = {}
-        self._max_terms = 0
         self._bulk_level = None
         self._bulk_err = None
 
@@ -339,13 +321,9 @@ class XiEvaluator:
             values = []
             err_sum = mp.zero
             for t_node, w_node in grid:
-                val, err, nterms = _phi_with_error(
-                    self.chi, t_node, self._node_tol, term_cap=self.series_cutoff
-                )
+                val, err = _phi_with_error(self.chi, t_node, self._node_tol)
                 values.append(val)
                 err_sum += w_node * err
-                if nterms > self._max_terms:
-                    self._max_terms = nterms
             self._levels[k] = (grid, tuple(values), +err_sum)
         return self._levels[k]
 
@@ -500,20 +478,8 @@ def riemann_moments(order, prec=DEFAULT_PREC, config=None):
     return XiEvaluator(chi=None, prec=prec, config=config).moment_table(order)
 
 
-_THETA_GATE_POINTS = ("0.5", "1", "2")
-
-
 def dirichlet_moments(chi, order, prec=DEFAULT_PREC, config=None):
     """Moment table of a Dirichlet kernel, gated by the theta self-check."""
-    for x in _THETA_GATE_POINTS:
-        residual = theta_selfcheck(chi, x, prec)
-        with mp.workdps(40):
-            if residual > mpf(10) ** (-(prec - 10)):
-                raise DomainError(
-                    f"character table fails the theta self-check at x = {x} "
-                    f"(residual {mp.nstr(residual, 5)}); table is not a real "
-                    "primitive character"
-                )
     return XiEvaluator(chi=chi, prec=prec, config=config).moment_table(order)
 
 

@@ -168,6 +168,44 @@ def test_verify_qairy_with_oracle(runner):
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
+def test_verify_sinc_with_oracle_passes(runner):
+    res = _invoke(
+        runner,
+        ["verify", "--function", "sinc", "--order", "3", "--oracle", "--count", "10"],
+    )
+    assert res.exit_code == 0
+    assert "PASS oracle-interval-s3" in res.output
+    assert "FAIL" not in res.output
+
+
+@pytest.mark.parametrize(
+    "family", [["--function", "zeta"], ["--function", "dirichlet", "--discriminant", "-3"]]
+)
+def test_verify_builds_the_moment_table_once(runner, monkeypatch, family):
+    import zerosum.cli as cli_mod
+    import zerosum.zeta as zeta_mod
+
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(cli_mod, "riemann_moments")
+    counting(cli_mod, "dirichlet_moments")
+    counting(zeta_mod, "theta_selfcheck")
+    res = _invoke(runner, ["verify", *family, "--order", "2", "--precision", "30"])
+    assert res.exit_code == 0
+    assert calls.count("riemann_moments") + calls.count("dirichlet_moments") == 1
+    gates = 1 if family[1] == "dirichlet" else 0
+    assert calls.count("theta_selfcheck") == gates * len(zeta_mod._THETA_GATE_POINTS)
+
+
 def test_verify_reports_failure_with_exit_1(runner, monkeypatch):
     import zerosum.cli as cli_mod
 
@@ -261,6 +299,24 @@ def test_oracle_bessel_json(runner):
         bound = mp.mpf(payload["sums"][0]["error_bound"])
         # s_1 = 1/(4(nu+1)) = 1/6
         assert abs(est - mp.mpf(1) / 6) <= bound
+
+
+def test_oracle_sinc_zeros_are_the_integers(runner):
+    args = ["oracle", "--function", "sinc", "--count", "10", "--order", "2"]
+    res = _invoke(runner, args + ["--format", "json"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    with mp.workdps(70):
+        xtol = mp.mpf(10) ** (-(payload["precision"] // 2))
+        for k, z in enumerate(payload["zeros"], start=1):
+            assert abs(mp.mpf(z) - k) < xtol
+        # s_1 = zeta(2) = pi^2/6 and s_2 = zeta(4) = pi^4/90
+        for entry, want in zip(payload["sums"], (mp.pi**2 / 6, mp.pi**4 / 90)):
+            est = mp.mpf(entry["estimate"])
+            assert est <= want <= est + mp.mpf(entry["error_bound"])
+    txt = _invoke(runner, args)
+    assert txt.exit_code == 0
+    assert "nu" not in txt.output
 
 
 def test_oracle_csv_and_text(runner):

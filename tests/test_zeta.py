@@ -9,6 +9,8 @@ Independent references used here:
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from zerosum import (
@@ -16,6 +18,7 @@ from zerosum import (
     LimitExceededError,
     MomentTable,
     QuadratureConfig,
+    XiEvaluator,
     dirichlet_moments,
     kronecker_character,
     phi_chi,
@@ -25,6 +28,7 @@ from zerosum import (
     riemann_s_closed,
     theta_selfcheck,
     xi_cosine,
+    xi_zeros,
 )
 
 from conftest import rel_err
@@ -136,6 +140,31 @@ def test_phi_chi_against_raw_kernel_sum():
             assert rel_err(got, _raw_dirichlet_kernel(chi, tv)) < mp.mpf("1e-44")
 
 
+@settings(
+    max_examples=25,
+    deadline=None,
+    # the autouse 90-digit ambient fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    t=st.floats(min_value=0, max_value=1.5),
+    d=st.sampled_from([-3, -4, 5, 8, -7, 12]),
+    prec=st.sampled_from([30, 40, 50]),
+)
+def test_kernels_match_printed_form_sums(t, d, prec):
+    # the package sums at -|t|; the raw references sum the printed form at t
+    tv = mp.mpf(t)
+    chi = kronecker_character(d)
+    tol = mp.mpf(10) ** (-(prec - 6))
+    raw_riemann = _raw_riemann_kernel(tv)
+    raw_chi = _raw_dirichlet_kernel(chi, tv)
+    assert rel_err(phi_riemann(t, prec), raw_riemann) < tol
+    assert rel_err(phi_chi(t, chi, prec), raw_chi) < tol
+    abs_tol = mp.mpf(10) ** (-prec)
+    assert abs(phi_riemann(t, prec, abs_tol=abs_tol) - raw_riemann) <= abs_tol
+    assert abs(phi_chi(t, chi, prec, abs_tol=abs_tol) - raw_chi) <= abs_tol
+
+
 def test_riemann_moment_table(riemann_table):
     tab = riemann_table
     assert isinstance(tab, MomentTable)
@@ -231,6 +260,20 @@ def test_theta_selfcheck_flags_impostor_tables():
     assert theta_selfcheck(fake, 2, 40) > mp.mpf("1e-6")
     with pytest.raises(DomainError):
         dirichlet_moments(fake, 2, 40)
+
+
+def test_every_character_kernel_path_rejects_impostor_tables():
+    fake = _Impostor()
+    with pytest.raises(DomainError):
+        phi_chi("0.5", fake, 40)
+    with pytest.raises(DomainError):
+        phi_chi("0.5", fake, 40, abs_tol="1e-40")
+    with pytest.raises(DomainError):
+        XiEvaluator(chi=fake, prec=40)
+    with pytest.raises(DomainError):
+        xi_zeros(2, 40, chi=fake)
+    with pytest.raises(DomainError):
+        xi_cosine(1, 40, chi=fake)
 
 
 def test_moment_order_cap():
