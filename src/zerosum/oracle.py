@@ -1,10 +1,12 @@
 """Brute-force zero location and truncated power sums.
 
 Every zero is isolated by a verified sign-change bracket and refined
-strictly inside it (bracketed secant with a bisection fallback); no
+strictly inside it by one Illinois bracketed secant (`_refine`); no
 derivative evaluations and no steps outside a certified bracket, so this
 route shares nothing with the coefficient-based machinery it
-cross-checks and the final bracket width localizes each zero.
+cross-checks and the final bracket width localizes each zero.  Every
+bracket comes from one forward scan (`_scan`) that walks a family's
+own step rule and reports each sign change.
 
 Series evaluation near large zeros loses digits to alternating-series
 cancellation.  Each evaluator starts from a per-family loss estimate,
@@ -389,21 +391,27 @@ def _sign(v):
     return 0
 
 
-def _refine_abs(f, lo, hi, flo, fhi, xtol):
-    # Illinois-style bracketed secant: the bracket invariant of plain
-    # bisection is kept (so the final width certifies the zero location),
-    # but simple zeros converge in far fewer evaluations.  The retained
-    # endpoint's value is halved on consecutive retention, which prevents
-    # the one-sided stall of naive regula falsi.
+def _refine(f, lo, hi, flo, fhi, tol, relative=False):
+    """Narrow the sign-change bracket [lo, hi] until it is within tol.
+
+    Illinois-style bracketed secant: the bracket invariant of plain
+    bisection is kept (so the final width certifies the zero location),
+    but simple zeros converge in far fewer evaluations.  The retained
+    endpoint's value is halved on consecutive retention, which prevents
+    the one-sided stall of naive regula falsi; flo and fhi keep opposite
+    signs throughout, so the secant denominator never vanishes.  The
+    width goal is hi - lo <= tol, or hi/lo - 1 <= tol with `relative`
+    (zeros spread over many orders of magnitude), and the reported zero
+    is the arithmetic or geometric midpoint to match.
+    """
     if _sign(flo) * _sign(fhi) >= 0:
         raise BracketFailureError("bracketed refinement needs a sign change")
     kept = 0
     for _ in range(5000):
         width = hi - lo
-        if width <= xtol:
+        if (hi / lo - 1 if relative else width) <= tol:
             break
-        denom = fhi - flo
-        x = (lo * fhi - hi * flo) / denom if denom != 0 else lo + width / 2
+        x = (lo * fhi - hi * flo) / (fhi - flo)
         # clamp instead of rejecting: when the proposal hugs an endpoint the
         # root is there too, and the padded evaluation collapses the bracket
         # to pad width in one step
@@ -425,42 +433,49 @@ def _refine_abs(f, lo, hi, flo, fhi, xtol):
             if kept == -1:
                 flo /= 2
             kept = -1
-    z = (lo + hi) / 2
+    z = mp.sqrt(lo * hi) if relative else (lo + hi) / 2
     return z, abs(f(z))
 
 
-def _refine_geometric(f, lo, hi, flo, fhi, rtol):
-    # same scheme with a relative width goal, for zeros spread over many
-    # orders of magnitude
-    if _sign(flo) * _sign(fhi) >= 0:
-        raise BracketFailureError("bracketed refinement needs a sign change")
-    kept = 0
-    for _ in range(5000):
-        if hi / lo - 1 <= rtol:
-            break
-        width = hi - lo
-        denom = fhi - flo
-        x = (lo * fhi - hi * flo) / denom if denom != 0 else mp.sqrt(lo * hi)
-        pad = width / 128
-        if x < lo + pad:
-            x = lo + pad
-        elif x > hi - pad:
-            x = hi - pad
-        fx = f(x)
-        if fx == 0:
-            return x, mp.zero
-        if _sign(fx) == _sign(flo):
-            lo, flo = x, fx
-            if kept == 1:
-                fhi /= 2
-            kept = 1
-        else:
-            hi, fhi = x, fx
-            if kept == -1:
-                flo /= 2
-            kept = -1
-    z = mp.sqrt(lo * hi)
-    return z, abs(f(z))
+def _scan(f, s, fs, advance, budget):
+    """Step s -> advance(s) at most `budget` times from fs = f(s).
+
+    Yields (lo, hi, flo, fhi) at every strict sign change.  advance is
+    called afresh at each step, so it may read zeros refined meanwhile.
+    """
+    for _ in range(budget):
+        nxt = advance(s)
+        fn = f(nxt)
+        if _sign(fs) * _sign(fn) < 0:
+            yield s, nxt, fs, fn
+        s, fs = nxt, fn
+
+
+def _refine_first(f, brackets, count, tol, zeros, residuals, relative=False, label=None):
+    """Refine brackets in turn onto zeros/residuals until `count` are listed.
+
+    No bracket is drawn past the count-th zero, so the scan evaluates no
+    point beyond it.  When the brackets run out first, fewer zeros are
+    listed, or with a `label` ScanExhaustedError is raised.
+    """
+    for bracket in brackets:
+        z, res = _refine(f, *bracket, tol, relative)
+        zeros.append(+z)
+        residuals.append(+res)
+        if len(zeros) == count:
+            return
+    if label is not None:
+        raise ScanExhaustedError(
+            f"{label}: found {len(zeros)} of {count} zeros within the scan budget"
+        )
+
+
+def _check_count(count, cap, prec):
+    check_precision(prec)
+    if not isinstance(count, int) or count < 1:
+        raise DomainError(f"count must be a positive integer, got {count!r}")
+    if count > cap:
+        raise LimitExceededError(f"count {count} exceeds the cap {cap}")
 
 
 def bessel_zeros(nu, count, prec=DEFAULT_PREC):
@@ -479,11 +494,7 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
     series that feeds the Newton routes is not evaluated at all.
     Residuals are |f| at each reported zero on either side.
     """
-    check_precision(prec)
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > BESSEL_COUNT_CAP:
-        raise LimitExceededError(f"count {count} exceeds the cap {BESSEL_COUNT_CAP}")
+    _check_count(count, BESSEL_COUNT_CAP, prec)
     with working(prec, 15):
         nuv = to_real(nu, prec)
         if not nuv > -1:
@@ -515,18 +526,12 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
                     raise BracketFailureError(
                         f"sign pattern broken left of zero {k} (nu = {nu})"
                     )
-                for _ in range(400):
-                    nxt = s + step
-                    fn = f(nxt)
-                    if _sign(fn) == -want:
-                        bracket = (s, nxt, fs, fn)
-                        break
-                    s, fs = nxt, fn
-                else:
-                    raise BracketFailureError(
+                bracket = next(_scan(f, s, fs, lambda x: x + step, 400), None)
+                if bracket is None:
+                    raise ScanExhaustedError(
                         f"no sign change found for zero {k} (nu = {nu})"
                     )
-            z, res = _refine_abs(f, *bracket, xtol)
+            z, res = _refine(f, *bracket, xtol)
             if zeros and not z > zeros[-1]:
                 raise BracketFailureError(f"zero {k} is not above zero {k - 1}")
             zeros.append(+z)
@@ -551,37 +556,23 @@ def airy_zeros(count, prec=DEFAULT_PREC):
     can be skipped) brackets each zero; bracketed refinement narrows it
     to 10^(-prec/2).
     """
-    check_precision(prec)
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > AIRY_COUNT_CAP:
-        raise LimitExceededError(f"count {count} exceeds the cap {AIRY_COUNT_CAP}")
+    _check_count(count, AIRY_COUNT_CAP, prec)
     with working(prec, 15):
         f = _make_airy_eval(prec)
         xtol = mpf(10) ** (-(prec // 2))
-        zeros = []
-        residuals = []
-        s = mpf(1) / 10
-        fs = f(s)
+        start = mpf(1) / 10
+        fs = f(start)
         if not fs > 0:
             raise BracketFailureError("series is not positive near the origin")
-        step = mpf("0.6")
-        evals = 0
-        while len(zeros) < count:
-            nxt = s + step
-            fn = f(nxt)
-            evals += 1
-            if evals > 60 * count + 200:
-                raise BracketFailureError("scan budget exhausted")
-            if _sign(fn) == -_sign(fs):
-                z, res = _refine_abs(f, s, nxt, fs, fn, xtol)
-                if zeros:
-                    step = (z - zeros[-1]) * mpf("0.35")
-                else:
-                    step = z * mpf("0.3")
-                zeros.append(+z)
-                residuals.append(+res)
-            s, fs = nxt, fn
+        zeros, residuals = [], []
+
+        def advance(x):
+            if len(zeros) > 1:
+                return x + (zeros[-1] - zeros[-2]) * mpf("0.35")
+            return x + (zeros[0] * mpf("0.3") if zeros else mpf("0.6"))
+
+        brackets = _scan(f, start, fs, advance, 60 * count + 200)
+        _refine_first(f, brackets, count, xtol, zeros, residuals, label="airy")
         return ZeroList(
             zeros=tuple(zeros),
             residuals=tuple(residuals),
@@ -593,34 +584,6 @@ def airy_zeros(count, prec=DEFAULT_PREC):
         )
 
 
-def _geometric_zero_scan(f, start, ratio, count, rtol, label):
-    """Multiplicative scan; every sign flip is refined geometrically."""
-    zeros = []
-    residuals = []
-    s = start
-    fs = f(s)
-    if not fs > 0:
-        raise BracketFailureError(f"{label}: scan start is not below the first zero")
-    budget = 12 * count + 240
-    for _ in range(budget):
-        if len(zeros) >= count:
-            break
-        nxt = s * ratio
-        fn = f(nxt)
-        if _sign(fn) == -_sign(fs):
-            z, res = _refine_geometric(f, s, nxt, fs, fn, rtol)
-            if zeros and not z > zeros[-1]:
-                raise BracketFailureError(f"{label}: zeros out of order")
-            zeros.append(+z)
-            residuals.append(+res)
-        s, fs = nxt, fn
-    else:
-        raise ScanExhaustedError(
-            f"{label}: found {len(zeros)} of {count} zeros within the scan budget"
-        )
-    return zeros, residuals
-
-
 def qairy_zeros(q, count, prec=DEFAULT_PREC):
     """First `count` zeros of the q-Airy-type series, 0 < q <= 0.9.
 
@@ -629,11 +592,7 @@ def qairy_zeros(q, count, prec=DEFAULT_PREC):
     refinement is geometric; accuracy is 10^(-prec/2) relative, which is what the
     downstream reciprocal sums consume.
     """
-    check_precision(prec)
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > Q_COUNT_CAP:
-        raise LimitExceededError(f"count {count} exceeds the cap {Q_COUNT_CAP}")
+    _check_count(count, Q_COUNT_CAP, prec)
     with working(prec, 15):
         qv = to_real(q, prec)
         if not 0 < qv <= mpf("0.9"):
@@ -643,8 +602,14 @@ def qairy_zeros(q, count, prec=DEFAULT_PREC):
         # first zero is at least (1-q)/q (reciprocal of the first sum)
         start = mpf(2) / 5 * (1 - qv) / qv
         ratio = mp.sqrt(1 / qv)
-        zeros, residuals = _geometric_zero_scan(
-            f, start, ratio, count, rtol, f"qairy(q={q})"
+        label = f"qairy(q={q})"
+        fs = f(start)
+        if not fs > 0:
+            raise BracketFailureError(f"{label}: scan start is not below the first zero")
+        zeros, residuals = [], []
+        brackets = _scan(f, start, fs, lambda x: x * ratio, 12 * count + 240)
+        _refine_first(
+            f, brackets, count, rtol, zeros, residuals, relative=True, label=label
         )
         return ZeroList(
             zeros=tuple(zeros),
@@ -665,11 +630,7 @@ def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
     ratio 1/q (the zero ratios approach 1/q^2 in x) and reported zeros
     are sqrt(x); accuracy is 10^(-prec/2) relative on x.
     """
-    check_precision(prec)
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > Q_COUNT_CAP:
-        raise LimitExceededError(f"count {count} exceeds the cap {Q_COUNT_CAP}")
+    _check_count(count, Q_COUNT_CAP, prec)
     with working(prec, 15):
         qv = to_real(q, prec)
         nuv = to_real(nu, prec)
@@ -682,8 +643,14 @@ def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
         sigma1 = qv ** (nuv + 1) / (4 * (1 - qv) * (1 - qv ** (nuv + 1)))
         start = mpf(2) / 5 / sigma1
         ratio = 1 / qv
-        xs, residuals = _geometric_zero_scan(
-            f, start, ratio, count, rtol, f"qbessel(nu={nu},q={q})"
+        label = f"qbessel(nu={nu},q={q})"
+        fs = f(start)
+        if not fs > 0:
+            raise BracketFailureError(f"{label}: scan start is not below the first zero")
+        xs, residuals = [], []
+        brackets = _scan(f, start, fs, lambda x: x * ratio, 12 * count + 240)
+        _refine_first(
+            f, brackets, count, rtol, xs, residuals, relative=True, label=label
         )
         zeros = [mp.sqrt(x) for x in xs]
         return ZeroList(
@@ -728,11 +695,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, config=None, chi=None):
     reported.  For a Dirichlet kernel (chi set) the scan starts near 0
     and no counting cross-check is available.
     """
-    check_precision(prec)
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > XI_COUNT_CAP:
-        raise LimitExceededError(f"count {count} exceeds the cap {XI_COUNT_CAP}")
+    _check_count(count, XI_COUNT_CAP, prec)
     if config is None:
         config = QuadratureConfig(points=48)
     ev = XiEvaluator(chi=chi, prec=prec, config=config)
@@ -751,21 +714,10 @@ def xi_zeros(count, prec=DEFAULT_PREC, config=None, chi=None):
         xtol = mpf(10) ** (-(prec // 2))
 
         def run_scan(step):
-            zeros = []
-            residuals = []
-            s = scan_lo
-            fs = f(s)
-            steps_cap = int(float((mpf(t_end) - scan_lo) / step)) + 8
-            for _ in range(steps_cap):
-                if len(zeros) >= count:
-                    break
-                nxt = s + step
-                fn = f(nxt)
-                if _sign(fn) == -_sign(fs) and _sign(fn) != 0:
-                    z, res = _refine_abs(f, s, nxt, fs, fn, xtol)
-                    zeros.append(+z)
-                    residuals.append(+res)
-                s, fs = nxt, fn
+            zeros, residuals = [], []
+            budget = int(float((mpf(t_end) - scan_lo) / step)) + 8
+            brackets = _scan(f, scan_lo, f(scan_lo), lambda x: x + step, budget)
+            _refine_first(f, brackets, count, xtol, zeros, residuals)
             return zeros, residuals
 
         step = mpf(1) / 2

@@ -67,15 +67,6 @@ def gamma(x, prec=DEFAULT_PREC):
         return +mp.gamma(xv)
 
 
-def log_gamma(x, prec=DEFAULT_PREC):
-    """Natural log of Gamma for x > 0."""
-    with working(prec):
-        xv = to_real(x, prec)
-        if xv <= 0:
-            raise DomainError("log_gamma requires x > 0")
-        return +mp.loggamma(xv)
-
-
 @functools.lru_cache(maxsize=None)
 def _bernoulli_table(upto):
     # B_n from the convolution sum(C(n+1, j) * B_j, j=0..n) = 0, exact in Q.
@@ -131,22 +122,3 @@ def q_pochhammer_finite(z, q, n, prec=DEFAULT_PREC):
             qk *= qv
         return +out
 
-
-def q_pochhammer_infinite(z, q, prec=DEFAULT_PREC):
-    """Infinite q-shifted factorial (z; q)_infinity for 0 < q < 1.
-
-    Truncates once the factor deviation |z q^k| is below 10^(-prec-10);
-    the discarded tail then perturbs the product by less than 10^(5-prec)
-    relatively.
-    """
-    with working(prec, GUARD_DIGITS + 10):
-        zv = to_real(z, prec)
-        qv = to_real(q, prec)
-        _check_q(qv)
-        cutoff = mpf(10) ** (-(prec + 10))
-        out = mp.one
-        term = zv
-        while abs(term) >= cutoff:
-            out *= 1 - term
-            term *= qv
-        return +out

@@ -53,23 +53,6 @@ class QBesselParams:
             raise DomainError(f"q must satisfy 0 < q < 1, got {self.q}")
 
 
-@dataclass(frozen=True)
-class AiryNormalization:
-    """Leading raw coefficient of the Airy-type series and its status.
-
-    The raw expansion has constant term alpha0 = 2*pi; dividing through by
-    it yields the normalized series with sigma_0 = 1 that the Newton
-    routes require.
-    """
-
-    alpha0: object
-    normalized: bool
-
-    def __post_init__(self):
-        if not to_real(self.alpha0, DEFAULT_PREC) > 0:
-            raise DomainError("alpha0 must be positive")
-
-
 def sinc_sigmas(order, prec=DEFAULT_PREC):
     """sigma_n = pi^(2n) / (2n+1)! for zeros k*pi of sin(pi*...)/..., squared."""
     _check_order(order)
@@ -107,10 +90,6 @@ def airy_raw_coefficient(n, prec=DEFAULT_PREC):
             * gamma(mpf(n) / 3 + mpf(1) / 2, prec)
         )
         return +(front * num / mp.factorial(2 * n))
-
-
-def airy_normalization(prec=DEFAULT_PREC):
-    return AiryNormalization(alpha0=airy_raw_coefficient(0, prec), normalized=True)
 
 
 def airy_sigmas(order, prec=DEFAULT_PREC):

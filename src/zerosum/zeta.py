@@ -237,7 +237,14 @@ _THETA_GATE_POINTS = ("0.5", "1", "2")
 
 
 def _theta_gate(chi, prec):
-    # summing at -|t| is exact only for a real primitive character
+    # summing at -|t| is exact only for a real primitive character; an
+    # all-zero table meets the functional equation trivially, so chi(1)
+    # is checked first
+    if chi(1) != 1:
+        raise DomainError(
+            f"character table has chi(1) = {chi(1)}; table is not a real "
+            "primitive character"
+        )
     for x in _THETA_GATE_POINTS:
         residual = theta_selfcheck(chi, x, prec)
         with mp.workdps(40):

@@ -5,15 +5,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import zerosum.oracle as oracle_module
 
 from zerosum import (
     BesselParams,
+    BracketFailureError,
     DomainError,
     LimitExceededError,
     QBesselParams,
+    ScanExhaustedError,
     bessel_s_closed,
     kronecker_character,
     qairy_s_closed,
@@ -174,6 +178,75 @@ def test_bessel_zeros_past_hankel_switch_match_mpmath(nu, count, series_calls):
     with mp.workdps(prec + 20):
         for k, z in enumerate(zl.zeros, 1):
             assert abs(z - mp.besseljzero(nuv, k)) < mp.mpf(10) ** (-(prec // 2)), k
+
+
+def test_bessel_zeros_through_stepping_fallback_match_mpmath(monkeypatch):
+    # at nu = 10 the asymptotic seeds miss several of the first zeros, so
+    # those brackets come from the stepping scan instead
+    calls = []
+    real = oracle_module._scan
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle_module, "_scan", spy)
+    zl = bessel_zeros(10, 10, 30)
+    assert calls
+    with mp.workdps(50):
+        for k, z in enumerate(zl.zeros, 1):
+            assert abs(z - mp.besseljzero(10, k)) < mp.mpf("1e-15"), k
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    # the autouse ambient-precision fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    root=st.floats(min_value=0.5, max_value=200),
+    left=st.floats(min_value=0.01, max_value=0.99),
+    right=st.floats(min_value=0.01, max_value=50),
+    cubic=st.floats(min_value=0, max_value=10),
+    sign=st.sampled_from([-1, 1]),
+    digits=st.integers(min_value=5, max_value=30),
+    relative=st.booleans(),
+)
+def test_refine_lands_within_tol_of_the_bracketed_root(
+    root, left, right, cubic, sign, digits, relative
+):
+    r = mp.mpf(root)
+
+    def f(x):
+        # strictly monotone, so r is the only zero anywhere
+        return sign * ((x - r) + cubic * (x - r) ** 3)
+
+    tol = mp.mpf(10) ** -digits
+    lo, hi = r * (1 - mp.mpf(left)), r + mp.mpf(right)
+    z, res = oracle_module._refine(f, lo, hi, f(lo), f(hi), tol, relative)
+    assert lo < z < hi
+    assert abs(z - r) <= (tol * r if relative else tol)
+    assert res == abs(f(z))
+    # a bracket wholly above the root holds no sign change
+    with pytest.raises(BracketFailureError):
+        oracle_module._refine(f, hi, 2 * hi, f(hi), f(2 * hi), tol, relative)
+
+
+@pytest.mark.parametrize(
+    "locate, factory, args",
+    [
+        (airy_zeros, "_make_airy_eval", (3, 30)),
+        (qairy_zeros, "_make_qairy_eval", ("0.5", 3, 30)),
+        (qbessel_zeros, "_make_qbessel_eval", (0, "0.5", 3, 30)),
+    ],
+    ids=["airy", "qairy", "qbessel"],
+)
+def test_scan_out_of_budget_raises_scan_exhausted(monkeypatch, locate, factory, args):
+    # a series with no sign change anywhere runs every scan to its budget
+    monkeypatch.setattr(oracle_module, factory, lambda *_: lambda z: mp.one)
+    with pytest.raises(ScanExhaustedError):
+        locate(*args)
 
 
 def test_airy_zeros_match_scaled_airy_reference():

@@ -14,11 +14,9 @@ from zerosum import (
     bernoulli,
     check_precision,
     gamma,
-    log_gamma,
     pi_value,
     pochhammer,
     q_pochhammer_finite,
-    q_pochhammer_infinite,
     to_real,
     working,
 )
@@ -27,7 +25,6 @@ from conftest import bernoulli_reference, rel_err
 
 # well-known constants, quoted to 40 digits
 GAMMA_THIRD = "2.678938534707747633655692940974677644129"
-QPI_HALF = "0.2887880950866024212788997219292307800889"
 
 
 @pytest.fixture(autouse=True)
@@ -119,14 +116,6 @@ def test_gamma_known_value_and_poles():
         gamma(mp.mpf(-2) + mp.mpf("1e-30"), 50)
 
 
-def test_log_gamma_consistency():
-    for x in ("0.5", "2.5", "10"):
-        lv = log_gamma(x, 50)
-        assert rel_err(mp.e ** lv, gamma(x, 50)) < mp.mpf("1e-46")
-    with pytest.raises(DomainError):
-        log_gamma(-1, 50)
-
-
 def test_bernoulli_against_akiyama_tanigawa():
     ours = [bernoulli(k) for k in range(31)]
     for k in range(31):
@@ -172,22 +161,7 @@ def test_q_pochhammer_finite_exact_rational_case():
     assert q_pochhammer_finite("0.3", "0.7", 0, 50) == 1
 
 
-def test_q_pochhammer_infinite_value_and_recursion():
-    got = q_pochhammer_infinite("0.5", "0.5", 50)
-    assert rel_err(got, mp.mpf(QPI_HALF)) < mp.mpf("1e-39")
-    # (z; q)_inf = (1 - z) (zq; q)_inf
-    z, q = mp.mpf("0.37"), mp.mpf("0.81")
-    lhs = q_pochhammer_infinite(z, q, 50)
-    rhs = (1 - z) * q_pochhammer_infinite(z * q, q, 50)
-    assert rel_err(lhs, rhs) < mp.mpf("1e-46")
-    # and it agrees with a deep finite product
-    fin = q_pochhammer_finite(z, q, 600, 50)
-    assert rel_err(lhs, fin) < mp.mpf("1e-46")
-
-
 def test_q_domain_rejected():
     for q in (0, 1, "1.2", -0.3):
         with pytest.raises(DomainError):
             q_pochhammer_finite("0.5", q, 3, 50)
-        with pytest.raises(DomainError):
-            q_pochhammer_infinite("0.5", q, 50)

@@ -8,11 +8,9 @@ import pytest
 from mpmath import mp
 
 from zerosum import (
-    AiryNormalization,
     BesselParams,
     DomainError,
     QBesselParams,
-    airy_normalization,
     airy_raw_coefficient,
     airy_sigmas,
     bessel_s_closed,
@@ -102,12 +100,7 @@ def test_bessel_power_sums_positive_decreasing():
 
 
 def test_airy_normalization_is_two_pi():
-    norm = airy_normalization(60)
-    assert isinstance(norm, AiryNormalization)
-    assert norm.normalized
-    assert rel_err(norm.alpha0, 2 * mp.pi) < mp.mpf("1e-55")
-    with pytest.raises(DomainError):
-        AiryNormalization(alpha0=0, normalized=True)
+    assert rel_err(airy_raw_coefficient(0, 60), 2 * mp.pi) < mp.mpf("1e-55")
 
 
 def test_airy_raw_coefficients_reference():

@@ -262,18 +262,25 @@ def test_theta_selfcheck_flags_impostor_tables():
         dirichlet_moments(fake, 2, 40)
 
 
+class _ZeroTable(_Impostor):
+    """All-zero table: its theta residual vanishes, but chi(1) is 0."""
+
+    def __call__(self, n):
+        return 0
+
+
 def test_every_character_kernel_path_rejects_impostor_tables():
-    fake = _Impostor()
-    with pytest.raises(DomainError):
-        phi_chi("0.5", fake, 40)
-    with pytest.raises(DomainError):
-        phi_chi("0.5", fake, 40, abs_tol="1e-40")
-    with pytest.raises(DomainError):
-        XiEvaluator(chi=fake, prec=40)
-    with pytest.raises(DomainError):
-        xi_zeros(2, 40, chi=fake)
-    with pytest.raises(DomainError):
-        xi_cosine(1, 40, chi=fake)
+    for fake in (_Impostor(), _ZeroTable()):
+        with pytest.raises(DomainError):
+            phi_chi("0.5", fake, 40)
+        with pytest.raises(DomainError):
+            phi_chi("0.5", fake, 40, abs_tol="1e-40")
+        with pytest.raises(DomainError):
+            XiEvaluator(chi=fake, prec=40)
+        with pytest.raises(DomainError):
+            xi_zeros(2, 40, chi=fake)
+        with pytest.raises(DomainError):
+            xi_cosine(1, 40, chi=fake)
 
 
 def test_moment_order_cap():
