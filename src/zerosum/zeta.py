@@ -323,6 +323,15 @@ class XiEvaluator:
         self._bulk_err = None
 
     def _level(self, k):
+        """(grid, kernel values, summed node error, offsets, panels) of level k.
+
+        Every panel holds the same symmetric rule, so its nodes pair up as
+        m + u_j and m - u_j around the panel midpoint m.  `offsets` lists
+        the u_j of the first `points // 2` pairs, and `panels` holds for
+        each panel (m, even row, odd row) with
+        e_j = wPhi(m + u_j) + wPhi(m - u_j) and o_j = wPhi(m + u_j) - wPhi(m - u_j);
+        for an odd rule the centre node ends the even row.
+        """
         if k not in self._levels:
             grid = panel_grid(0, self.t_cutoff, 2**k, self.points, self._dps)
             values = []
@@ -331,19 +340,53 @@ class XiEvaluator:
                 val, err = _phi_with_error(self.chi, t_node, self._node_tol)
                 values.append(val)
                 err_sum += w_node * err
-            self._levels[k] = (grid, tuple(values), +err_sum)
+            n, half = self.points, self.points // 2
+            with mp.workdps(self._dps):
+                offsets = tuple((grid[n - 1 - j][0] - grid[j][0]) / 2 for j in range(half))
+                panels = []
+                for start in range(0, len(grid), n):
+                    wphi = [w * v for (_, w), v in zip(grid[start:start + n], values[start:start + n])]
+                    right, left = wphi[::-1][:half], wphi[:half]
+                    even = [a + b for a, b in zip(right, left)]
+                    odd = [a - b for a, b in zip(right, left)]
+                    if n % 2:
+                        even.append(wphi[half])
+                    mid = (grid[start][0] + grid[start + n - 1][0]) / 2
+                    panels.append((mid, even, odd))
+            self._levels[k] = (grid, tuple(values), +err_sum, offsets, tuple(panels))
         return self._levels[k]
 
     def _integrate(self, k, weight):
-        grid, values, err_sum = self._level(k)
+        grid, values, err_sum = self._level(k)[:3]
         with mp.workdps(self._dps):
             acc = mp.zero
             for (t_node, w_node), val in zip(grid, values):
                 acc += w_node * val * weight(t_node)
             return +acc, err_sum
 
-    def _converged(self, weight, scale_floor, err_scale):
-        """Integrate at doubling refinements until two levels agree.
+    def _cosine(self, k, zv):
+        """Level-k sum of w Phi(t) cos(zv t), panel by panel.
+
+        cos(z (m + u)) = cos(z m) cos(z u) - sin(z m) sin(z u), so one sweep
+        takes cos_sin once per local offset and once per panel midpoint and
+        two dot products per panel, in place of a cosine at every node.
+        Returns (value, summed node error) as `_integrate` does.
+        """
+        _, _, err_sum, offsets, panels = self._level(k)
+        with mp.workdps(self._dps):
+            local = [mp.cos_sin(zv * u) for u in offsets]
+            cos_u = [c for c, _ in local]
+            sin_u = [s for _, s in local]
+            if self.points % 2:
+                cos_u.append(mp.one)
+            acc = mp.zero
+            for mid, even, odd in panels:
+                c, s = mp.cos_sin(zv * mid)
+                acc += c * mp.fdot(even, cos_u) - s * mp.fdot(odd, sin_u)
+            return +acc, err_sum
+
+    def _converged(self, sweep, scale_floor, err_scale):
+        """Sweep doubling refinements, sweep(k) -> (value, node error), until two agree.
 
         err_scale bounds |weight| on the interval, amplifying the cached
         per-node kernel errors.
@@ -352,7 +395,7 @@ class XiEvaluator:
             tol = mpf(10) ** (-self.target_digits)
             prev = None
             for k in range(1, self.max_doublings + 1):
-                cur, err_sum = self._integrate(k, weight)
+                cur, err_sum = sweep(k)
                 if prev is not None:
                     gap = abs(cur - prev)
                     if gap <= tol * max(abs(cur), scale_floor):
@@ -366,7 +409,7 @@ class XiEvaluator:
         """Cosine transform at z with a certified absolute error bound."""
         with mp.workdps(self._dps):
             zv = to_real(z, self._dps)
-            value, err = self._converged(lambda t: mp.cos(zv * t), mpf(1), mpf(1))
+            value, err = self._converged(lambda k: self._cosine(k, zv), mpf(1), mpf(1))
             return value, err
 
     def moment(self, n):
@@ -379,10 +422,10 @@ class XiEvaluator:
             )
         with mp.workdps(self._dps):
             wmax = max(mp.one, self.t_cutoff ** (2 * n))
-            if n == 0:
-                value, err = self._converged(lambda t: mp.one, mpf(1), wmax)
-            else:
-                value, err = self._converged(lambda t: t ** (2 * n), mpf(1), wmax)
+            weight = (lambda t: mp.one) if n == 0 else (lambda t: t ** (2 * n))
+            value, err = self._converged(
+                lambda k: self._integrate(k, weight), mpf(1), wmax
+            )
             tail = _tail_bound(
                 self.modulus, self._alpha, self._const, float(self.t_cutoff), n
             )
@@ -407,8 +450,8 @@ class XiEvaluator:
                 ok = True
                 for z in probes:
                     zv = to_real(z, self._dps)
-                    cur, _ = self._integrate(k, lambda t: mp.cos(zv * t))
-                    prev, _ = self._integrate(k - 1, lambda t: mp.cos(zv * t))
+                    cur, _ = self._cosine(k, zv)
+                    prev, _ = self._cosine(k - 1, zv)
                     gap = abs(cur - prev)
                     if gap > worst:
                         worst = gap
@@ -428,7 +471,7 @@ class XiEvaluator:
             raise AccuracyError("call calibrate_transform before transform_at")
         with mp.workdps(self._dps):
             zv = to_real(z, self._dps)
-            value, _ = self._integrate(self._bulk_level, lambda t: mp.cos(zv * t))
+            value, _ = self._cosine(self._bulk_level, zv)
             return value, self._bulk_err
 
     def moment_table(self, order):
