@@ -1,7 +1,7 @@
 """Brute-force zero location and truncated power sums.
 
 Every zero is isolated by a verified sign-change bracket and refined
-strictly inside it by one Illinois bracketed secant (`_refine`); no
+strictly inside it by one Anderson-Bjorck bracketed secant (`_refine`); no
 derivative evaluations and no steps outside a certified bracket, so this
 route shares nothing with the coefficient-based machinery it
 cross-checks and the final bracket width localizes each zero.  Every
@@ -394,28 +394,36 @@ def _sign(v):
 def _refine(f, lo, hi, flo, fhi, tol, relative=False):
     """Narrow the sign-change bracket [lo, hi] until it is within tol.
 
-    Illinois-style bracketed secant: the bracket invariant of plain
-    bisection is kept (so the final width certifies the zero location),
-    but simple zeros converge in far fewer evaluations.  The retained
-    endpoint's value is halved on consecutive retention, which prevents
-    the one-sided stall of naive regula falsi; flo and fhi keep opposite
-    signs throughout, so the secant denominator never vanishes.  The
-    width goal is hi - lo <= tol, or hi/lo - 1 <= tol with `relative`
-    (zeros spread over many orders of magnitude), and the reported zero
-    is the arithmetic or geometric midpoint to match.
+    Anderson-Bjorck bracketed secant (BIT 13, 1973): the bracket invariant
+    of plain bisection is kept (so the final width certifies the zero
+    location), but simple zeros converge in few evaluations.  When the
+    same end is replaced twice running, the kept end's value is scaled
+    by m = 1 - f(x)/f(replaced end), or by 1/2 when m <= 0, which
+    prevents the one-sided stall of naive regula falsi; flo and fhi keep
+    opposite signs throughout, so the secant denominator never vanishes.
+    The width goal is hi - lo <= tol, or hi - lo <= tol*lo with
+    `relative` (zeros spread over many orders of magnitude), and the
+    reported zero is the arithmetic or geometric midpoint to match.
+    Each secant point keeps min(width/128, 0.45 goal) from both ends;
+    once the secant has settled next to the root, that closing step
+    lands across it and leaves a bracket narrower than the goal.  A
+    bracket still wider than the goal after the step budget raises
+    AccuracyError rather than report its midpoint.
     """
     if _sign(flo) * _sign(fhi) >= 0:
         raise BracketFailureError("bracketed refinement needs a sign change")
     kept = 0
     for _ in range(5000):
         width = hi - lo
-        if (hi / lo - 1 if relative else width) <= tol:
-            break
+        goal = tol * lo if relative else tol
+        if width <= goal:
+            z = mp.sqrt(lo * hi) if relative else (lo + hi) / 2
+            return z, abs(f(z))
         x = (lo * fhi - hi * flo) / (fhi - flo)
         # clamp instead of rejecting: when the proposal hugs an endpoint the
-        # root is there too, and the padded evaluation collapses the bracket
-        # to pad width in one step
-        pad = width / 128
+        # root is there too, and a point under half the goal inside it
+        # closes the bracket in one step
+        pad = min(width / 128, goal * mpf("0.45"))
         if x < lo + pad:
             x = lo + pad
         elif x > hi - pad:
@@ -424,17 +432,24 @@ def _refine(f, lo, hi, flo, fhi, tol, relative=False):
         if fx == 0:
             return x, mp.zero
         if _sign(fx) == _sign(flo):
-            lo, flo = x, fx
             if kept == 1:
-                fhi /= 2
+                fhi *= _anderson_bjorck(fx, flo)
+            lo, flo = x, fx
             kept = 1
         else:
-            hi, fhi = x, fx
             if kept == -1:
-                flo /= 2
+                flo *= _anderson_bjorck(fx, fhi)
+            hi, fhi = x, fx
             kept = -1
-    z = mp.sqrt(lo * hi) if relative else (lo + hi) / 2
-    return z, abs(f(z))
+    raise AccuracyError(
+        f"bracket [{mp.nstr(lo, 10)}, {mp.nstr(hi, 10)}] still wider than the "
+        "goal after the refinement budget"
+    )
+
+
+def _anderson_bjorck(fx, freplaced):
+    m = 1 - fx / freplaced
+    return m if m > 0 else mpf(1) / 2
 
 
 def _scan(f, s, fs, advance, budget):

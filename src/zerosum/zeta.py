@@ -5,6 +5,10 @@ summed directly from their theta-series definitions; their even moments
 feed the Newton routes, and their cosine transforms locate zeros on the
 critical line.  Quadrature is composite Gauss-Legendre on [0, t_cutoff]
 with the panel count doubled until two successive refinements agree.
+The cosine transform is summed panel by panel: each level folds its
+weighted kernel values once into even and odd rows about every panel
+midpoint, so a sweep at z takes cos and sin only at the rule's
+half-offsets and at the panel midpoints, not at every node.
 
 Both kernels are even in t: for the Riemann kernel this is Polya's form
 (Titchmarsh, The Theory of the Riemann Zeta-Function, section 10.1), and

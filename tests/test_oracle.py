@@ -12,6 +12,7 @@ from mpmath import mp
 import zerosum.oracle as oracle_module
 
 from zerosum import (
+    AccuracyError,
     BesselParams,
     BracketFailureError,
     DomainError,
@@ -231,6 +232,48 @@ def test_refine_lands_within_tol_of_the_bracketed_root(
     # a bracket wholly above the root holds no sign change
     with pytest.raises(BracketFailureError):
         oracle_module._refine(f, hi, 2 * hi, f(hi), f(2 * hi), tol, relative)
+
+
+@pytest.mark.parametrize(
+    "locate, args, cap",
+    [
+        (bessel_zeros, (0, 64, 30), 10),
+        (airy_zeros, (20, 30), 10),
+        (qairy_zeros, (Fraction(14, 25), 25, 30), 10),
+        (qbessel_zeros, (1, Fraction(31, 50), 20, 30), 15),
+    ],
+    ids=["bessel", "airy", "qairy", "qbessel"],
+)
+def test_refiner_evaluations_per_zero(monkeypatch, locate, args, cap):
+    # every evaluation the refiner makes, its closing residual included
+    evaluations = []
+    real = oracle_module._refine
+
+    def counting(f, *rest):
+        def counted(x):
+            evaluations.append(x)
+            return f(x)
+
+        return real(counted, *rest)
+
+    monkeypatch.setattr(oracle_module, "_refine", counting)
+    zl = locate(*args)
+    assert len(evaluations) <= cap * zl.count
+
+
+@pytest.mark.parametrize("dps, tol", [(140, "1e-120"), (50, "1e-25")])
+def test_refine_raises_when_the_budget_ends_short_of_the_goal(dps, tol):
+    # a jump from -1 to +1e-3000 at r: the secant hugs the right end, and
+    # the scaled left value needs about 10^4 halvings to pull it off
+    with mp.workdps(dps):
+        r = mp.mpf(1) / 3
+
+        def f(x):
+            return -mp.one if x < r else mp.mpf("1e-3000")
+
+        lo, hi = mp.zero, mp.one
+        with pytest.raises(AccuracyError):
+            oracle_module._refine(f, lo, hi, f(lo), f(hi), mp.mpf(tol))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ Independent references used here:
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -281,6 +283,36 @@ def test_every_character_kernel_path_rejects_impostor_tables():
             xi_zeros(2, 40, chi=fake)
         with pytest.raises(DomainError):
             xi_cosine(1, 40, chi=fake)
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluator(d, points):
+    chi = None if d is None else kronecker_character(d)
+    return XiEvaluator(chi=chi, prec=30, config=QuadratureConfig(points=points))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    # the autouse 90-digit ambient fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    z=st.floats(min_value=0, max_value=150),
+    d=st.sampled_from([None, -3, -4, 5]),
+    points=st.sampled_from([7, 24, 48]),
+)
+def test_folded_cosine_sweep_matches_per_node_sum(z, d, points):
+    # the odd rule puts a centre node into each panel's even row
+    ev = _evaluator(d, points)
+    zv = mp.mpf(z)
+    for k in range(1, 5):
+        folded, _ = ev._cosine(k, zv)
+        grid, values = ev._level(k)[:2]
+        with mp.workdps(ev._dps):
+            direct = mp.fsum(w * v * mp.cos(zv * t) for (t, w), v in zip(grid, values))
+            size = mp.fsum(abs(w * v) for (_, w), v in zip(grid, values))
+            assert abs(folded - direct) <= mp.mpf(10) ** (8 - ev._dps) * size, k
 
 
 def test_moment_order_cap():
