@@ -327,45 +327,48 @@ class XiEvaluator:
         self._bulk_err = None
 
     def _level(self, k):
-        """(grid, kernel values, summed node error, offsets, panels) of level k.
+        """(nodes, wPhi, summed node error, offsets, panels) of level k.
 
-        Every panel holds the same symmetric rule, so its nodes pair up as
-        m + u_j and m - u_j around the panel midpoint m.  `offsets` lists
-        the u_j of the first `points // 2` pairs, and `panels` holds for
-        each panel (m, even row, odd row) with
-        e_j = wPhi(m + u_j) + wPhi(m - u_j) and o_j = wPhi(m + u_j) - wPhi(m - u_j);
-        for an odd rule the centre node ends the even row.
+        wPhi holds weight times kernel value at each node.  Every panel
+        holds the same symmetric rule, so its nodes pair up as m + u_j and
+        m - u_j around the panel midpoint m.  `offsets` lists the u_j of
+        the first `points // 2` pairs, and `panels` holds for each panel
+        (m, even row, odd row) with e_j = wPhi(m + u_j) + wPhi(m - u_j)
+        and o_j = wPhi(m + u_j) - wPhi(m - u_j); for an odd rule the
+        centre node ends the even row.
         """
         if k not in self._levels:
             grid = panel_grid(0, self.t_cutoff, 2**k, self.points, self._dps)
-            values = []
+            wphi = []
             err_sum = mp.zero
             for t_node, w_node in grid:
                 val, err = _phi_with_error(self.chi, t_node, self._node_tol)
-                values.append(val)
+                with mp.workdps(self._dps):
+                    wphi.append(w_node * val)
                 err_sum += w_node * err
             n, half = self.points, self.points // 2
             with mp.workdps(self._dps):
                 offsets = tuple((grid[n - 1 - j][0] - grid[j][0]) / 2 for j in range(half))
                 panels = []
                 for start in range(0, len(grid), n):
-                    wphi = [w * v for (_, w), v in zip(grid[start:start + n], values[start:start + n])]
-                    right, left = wphi[::-1][:half], wphi[:half]
+                    row = wphi[start:start + n]
+                    right, left = row[::-1][:half], row[:half]
                     even = [a + b for a, b in zip(right, left)]
                     odd = [a - b for a, b in zip(right, left)]
                     if n % 2:
-                        even.append(wphi[half])
+                        even.append(row[half])
                     mid = (grid[start][0] + grid[start + n - 1][0]) / 2
                     panels.append((mid, even, odd))
-            self._levels[k] = (grid, tuple(values), +err_sum, offsets, tuple(panels))
+            nodes = tuple(t for t, _ in grid)
+            self._levels[k] = (nodes, tuple(wphi), +err_sum, offsets, tuple(panels))
         return self._levels[k]
 
     def _integrate(self, k, weight):
-        grid, values, err_sum = self._level(k)[:3]
+        nodes, wphi, err_sum = self._level(k)[:3]
         with mp.workdps(self._dps):
             acc = mp.zero
-            for (t_node, w_node), val in zip(grid, values):
-                acc += w_node * val * weight(t_node)
+            for t_node, wv in zip(nodes, wphi):
+                acc += wv * weight(t_node)
             return +acc, err_sum
 
     def _cosine(self, k, zv):

@@ -308,10 +308,10 @@ def test_folded_cosine_sweep_matches_per_node_sum(z, d, points):
     zv = mp.mpf(z)
     for k in range(1, 5):
         folded, _ = ev._cosine(k, zv)
-        grid, values = ev._level(k)[:2]
+        nodes, wphi = ev._level(k)[:2]
         with mp.workdps(ev._dps):
-            direct = mp.fsum(w * v * mp.cos(zv * t) for (t, w), v in zip(grid, values))
-            size = mp.fsum(abs(w * v) for (_, w), v in zip(grid, values))
+            direct = mp.fsum(wv * mp.cos(zv * t) for t, wv in zip(nodes, wphi))
+            size = mp.fsum(abs(wv) for wv in wphi)
             assert abs(folded - direct) <= mp.mpf(10) ** (8 - ev._dps) * size, k
 
 
