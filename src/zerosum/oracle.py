@@ -1,10 +1,12 @@
 """Brute-force zero location and truncated power sums.
 
 Every zero is isolated by a verified sign-change bracket and refined
-strictly inside it by one Anderson-Bjorck bracketed secant (`_refine`); no
-derivative evaluations and no steps outside a certified bracket, so this
-route shares nothing with the coefficient-based machinery it
-cross-checks and the final bracket width localizes each zero.  Every
+strictly inside it by one Anderson-Bjorck bracketed secant with a
+closing step (`_refine`); no derivative evaluations and no steps outside
+a certified bracket, so this route shares nothing with the
+coefficient-based machinery it cross-checks and the final bracket width
+localizes each zero.  A bracket the refiner cannot close within its
+step budget raises AccuracyError instead of yielding a midpoint.  Every
 bracket comes from one forward scan (`_scan`) that walks a family's
 own step rule and reports each sign change.
 
