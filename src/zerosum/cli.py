@@ -1,6 +1,12 @@
 """Command-line front end: sum tables, verification suites, moment tables,
 and zero listings for the supported function families.
 
+Each family is one entry of ``FAMILIES``: its required flags, the default
+zero count of ``verify --oracle``, where its coefficients come from (a
+sigma provider, or a moment-table builder for zeta and dirichlet), its
+zero locator and the second check of ``verify``.  Adding a family means
+adding one entry there.
+
 Exit codes: 0 success, 1 failed verification check, 2 configuration
 error, 3 numeric failure.  All numbers cross the CLI boundary as decimal
 strings at full working precision.
@@ -9,6 +15,7 @@ strings at full working precision.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -44,28 +51,6 @@ from .series import (
 )
 from .zeta import dirichlet_moments, riemann_moments, riemann_s_closed
 
-FUNCTIONS = ("sinc", "bessel", "airy", "qbessel", "qairy", "zeta", "dirichlet")
-
-_REQUIRED_PARAMS = {
-    "sinc": (),
-    "bessel": ("nu",),
-    "airy": (),
-    "qbessel": ("nu", "q"),
-    "qairy": ("q",),
-    "zeta": (),
-    "dirichlet": ("discriminant",),
-}
-
-_ORACLE_COUNTS = {
-    "sinc": 40,
-    "bessel": 40,
-    "airy": 20,
-    "qbessel": 20,
-    "qairy": 25,
-    "zeta": 8,
-    "dirichlet": 8,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -82,6 +67,158 @@ class RunConfig:
     scale: object = Fraction(-1)
 
 
+@dataclass(frozen=True)
+class Family:
+    """How the CLI treats one ``--function`` value.
+
+    A family has either ``sigmas`` (cfg -> SigmaSeries) or ``moments``
+    (cfg -> MomentTable).  ``locate(cfg, count)`` returns a ZeroList and
+    ``check(cfg, table, rec, tol)`` the second ``verify`` check as a
+    (name, ok, detail) triple.
+    """
+
+    params: tuple
+    oracle_count: int
+    locate: object
+    check: object
+    sigmas: object = None
+    moments: object = None
+
+
+def _rel_diff(a, b):
+    scale = max(abs(a), abs(b))
+    if scale == 0:
+        return mp.zero
+    return abs(a - b) / scale
+
+
+def _closed_form(cap, label, value):
+    """Check s_1..s_min(order, cap) against value(cfg, table, k)."""
+
+    def check(cfg, table, rec, tol):
+        kmax = min(cfg.order, cap)
+        worst = mp.zero
+        for k in range(1, kmax + 1):
+            worst = max(worst, _rel_diff(rec.value(k), value(cfg, table, k)))
+        return (
+            "closed-form-regression",
+            worst <= tol,
+            f"{label}, orders 1..{kmax}: max relative difference {mp.nstr(worst, 3)}",
+        )
+
+    return check
+
+
+def _sinc_s(cfg, table, k):
+    # s_n is the even zeta constant: (-1)^(n+1) B_2n (2 pi)^(2n) / (2 (2n)!)
+    b = to_real(bernoulli(2 * k), cfg.precision)
+    return (-1) ** (k + 1) * b * (2 * mp.pi) ** (2 * k) / (2 * mp.factorial(2 * k))
+
+
+def _airy_normalization(cfg, table, rec, tol):
+    p = cfg.precision
+    diff = abs(airy_raw_coefficient(0, p) - 2 * mp.pi)
+    return (
+        "normalization",
+        diff <= mp.mpf(10) ** (-(p - 12)),
+        "raw series is normalized by its leading coefficient, which "
+        f"equals 2*pi; |alpha_0 - 2*pi| = {mp.nstr(diff, 3)}",
+    )
+
+
+def _sinc_zeros(cfg, count):
+    # sin(z)/z is the half-order Bessel function; its zeros k*pi,
+    # divided by pi, are the zeros k of sin(pi x)/(pi x)
+    zl = zero_oracle.bessel_zeros(Fraction(1, 2), count, cfg.precision)
+    with working(cfg.precision, 15):
+        return replace(
+            zl, zeros=tuple(z / mp.pi for z in zl.zeros), tol=zl.tol / mp.pi, note=""
+        )
+
+
+# The lambdas look their callees up in this module at call time, so that
+# patching a name here (as tests and the benchmark tracer do) takes effect.
+FAMILIES = {
+    "sinc": Family(
+        params=(),
+        oracle_count=40,
+        sigmas=lambda cfg: sinc_sigmas(cfg.order, cfg.precision),
+        locate=_sinc_zeros,
+        check=_closed_form(20, "even zeta constants via Bernoulli numbers", _sinc_s),
+    ),
+    "bessel": Family(
+        params=("nu",),
+        oracle_count=40,
+        sigmas=lambda cfg: bessel_sigmas(BesselParams(nu=cfg.nu), cfg.order, cfg.precision),
+        locate=lambda cfg, k: zero_oracle.bessel_zeros(cfg.nu, k, cfg.precision),
+        check=_closed_form(
+            5,
+            "rational closed forms in nu",
+            lambda cfg, table, k: bessel_s_closed(BesselParams(nu=cfg.nu), k, cfg.precision),
+        ),
+    ),
+    "airy": Family(
+        params=(),
+        oracle_count=20,
+        sigmas=lambda cfg: airy_sigmas(cfg.order, cfg.precision),
+        locate=lambda cfg, k: zero_oracle.airy_zeros(k, cfg.precision),
+        check=_airy_normalization,
+    ),
+    "qbessel": Family(
+        params=("nu", "q"),
+        oracle_count=20,
+        sigmas=lambda cfg: qbessel_sigmas(
+            QBesselParams(nu=cfg.nu, q=cfg.q), cfg.order, cfg.precision
+        ),
+        locate=lambda cfg, k: zero_oracle.qbessel_zeros(cfg.nu, cfg.q, k, cfg.precision),
+        check=_closed_form(
+            3,
+            "rational closed forms in q and q^nu",
+            lambda cfg, table, k: qbessel_s_closed(
+                QBesselParams(nu=cfg.nu, q=cfg.q), k, cfg.precision
+            ),
+        ),
+    ),
+    "qairy": Family(
+        params=("q",),
+        oracle_count=25,
+        sigmas=lambda cfg: qairy_sigmas(cfg.q, cfg.order, cfg.precision),
+        locate=lambda cfg, k: zero_oracle.qairy_zeros(cfg.q, k, cfg.precision),
+        check=_closed_form(
+            5,
+            "rational closed forms in q",
+            lambda cfg, table, k: qairy_s_closed(cfg.q, k, cfg.precision),
+        ),
+    ),
+    "zeta": Family(
+        params=(),
+        oracle_count=8,
+        moments=lambda cfg: riemann_moments(cfg.order, cfg.precision),
+        locate=lambda cfg, k: zero_oracle.xi_zeros(k, cfg.precision),
+        check=_closed_form(
+            4,
+            "rational closed forms in the kernel moments",
+            lambda cfg, table, k: riemann_s_closed(table.b, k, cfg.precision),
+        ),
+    ),
+    "dirichlet": Family(
+        params=("discriminant",),
+        oracle_count=8,
+        moments=lambda cfg: dirichlet_moments(
+            kronecker_character(cfg.discriminant), cfg.order, cfg.precision
+        ),
+        locate=lambda cfg, k: zero_oracle.xi_zeros(
+            k, cfg.precision, chi=kronecker_character(cfg.discriminant)
+        ),
+        check=_closed_form(
+            1,
+            "first-order closed form b1/(2*b0)",
+            lambda cfg, table, k: table.b[1] / (2 * table.b[0]),
+        ),
+    ),
+}
+
+
 def _parse_real(text, flag):
     if text is None:
         return None
@@ -92,59 +229,23 @@ def _parse_real(text, flag):
 
 
 def _resolve_precision(option_value):
-    if option_value is not None:
-        value = option_value
-    else:
-        env = os.environ.get("ZEROSUM_PRECISION")
-        if env is None:
-            value = DEFAULT_PREC
-        else:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"ZEROSUM_PRECISION must be an integer, got {env!r}"
-                )
+    value = option_value
+    if value is None:
+        env = os.environ.get("ZEROSUM_PRECISION", str(DEFAULT_PREC))
+        try:
+            value = int(env)
+        except ValueError:
+            raise ConfigurationError(f"ZEROSUM_PRECISION must be an integer, got {env!r}")
     check_precision(value)
     return value
-
-
-def _build_config(function, nu, q, discriminant, order, precision, method, fmt, scale):
-    required = _REQUIRED_PARAMS[function]
-    supplied = {"nu": nu, "q": q, "discriminant": discriminant}
-    for name in required:
-        if supplied[name] is None:
-            raise ConfigurationError(f"--function {function} requires --{name}")
-    for name, value in supplied.items():
-        if value is not None and name not in required:
-            raise ConfigurationError(
-                f"--{name} does not apply to --function {function}"
-            )
-    if order < 1:
-        raise ConfigurationError(f"--order must be at least 1, got {order}")
-    return RunConfig(
-        function=function,
-        nu=_parse_real(nu, "--nu"),
-        q=_parse_real(q, "--q"),
-        discriminant=discriminant,
-        order=order,
-        precision=_resolve_precision(precision),
-        method=method,
-        fmt=fmt,
-        scale=_parse_real(scale, "--scale"),
-    )
-
-
-def _nstr(x, digits):
-    return mp.nstr(x, digits)
 
 
 def _params_payload(cfg):
     out = {}
     if cfg.nu is not None:
-        out["nu"] = _nstr(to_real(cfg.nu, cfg.precision), cfg.precision)
+        out["nu"] = mp.nstr(to_real(cfg.nu, cfg.precision), cfg.precision)
     if cfg.q is not None:
-        out["q"] = _nstr(to_real(cfg.q, cfg.precision), cfg.precision)
+        out["q"] = mp.nstr(to_real(cfg.q, cfg.precision), cfg.precision)
     if cfg.discriminant is not None:
         out["discriminant"] = cfg.discriminant
     return out
@@ -152,41 +253,51 @@ def _params_payload(cfg):
 
 def _moment_table(cfg):
     """The kernel moment table of zeta or dirichlet; None for other families."""
-    if cfg.function == "zeta":
-        return riemann_moments(cfg.order, cfg.precision)
-    if cfg.function == "dirichlet":
-        chi = kronecker_character(cfg.discriminant)
-        return dirichlet_moments(chi, cfg.order, cfg.precision)
-    return None
+    build = FAMILIES[cfg.function].moments
+    return None if build is None else build(cfg)
 
 
 def _series_for(cfg):
-    p = cfg.precision
-    if cfg.function == "sinc":
-        return sinc_sigmas(cfg.order, p)
-    if cfg.function == "bessel":
-        return bessel_sigmas(BesselParams(nu=cfg.nu), cfg.order, p)
-    if cfg.function == "airy":
-        return airy_sigmas(cfg.order, p)
-    if cfg.function == "qbessel":
-        return qbessel_sigmas(QBesselParams(nu=cfg.nu, q=cfg.q), cfg.order, p)
-    if cfg.function == "qairy":
-        return qairy_sigmas(cfg.q, cfg.order, p)
-    if cfg.function in ("zeta", "dirichlet"):
-        return _moment_table(cfg).series()
-    raise ConfigurationError(f"unknown function {cfg.function!r}")
+    family = FAMILIES[cfg.function]
+    if family.sigmas is None:
+        return family.moments(cfg).series()
+    return family.sigmas(cfg)
 
 
-def _echo_json(payload):
-    click.echo(json.dumps(payload, indent=2, ensure_ascii=False))
+def _locate_zeros(cfg, count):
+    family = FAMILIES[cfg.function]
+    return family.locate(cfg, family.oracle_count if count is None else count)
 
 
-def _echo_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
+def _text_header(cfg, title, params):
+    lines = [f"# {title}: {cfg.function}, precision {cfg.precision}"]
+    if params:
+        lines.append("# " + ", ".join(f"{k} = {v}" for k, v in params.items()))
+    return lines
+
+
+def _emit(cfg, payload, csv_header, csv_rows, text_lines):
+    """Print one result as cfg.fmt asks.
+
+    JSON output starts with the shared function/params/precision keys; a
+    payload key of the same name replaces the value in place.
+    """
+    if cfg.fmt == "json":
+        shared = {
+            "function": cfg.function,
+            "params": _params_payload(cfg),
+            "precision": cfg.precision,
+        }
+        click.echo(json.dumps({**shared, **payload}, indent=2, ensure_ascii=False))
+    elif cfg.fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+        click.echo(buf.getvalue(), nl=False)
+    else:
+        for line in text_lines:
+            click.echo(line)
 
 
 def _fail(message, code):
@@ -194,49 +305,44 @@ def _fail(message, code):
     sys.exit(code)
 
 
-def _dispatch(body):
-    try:
-        return body()
-    except ConfigurationError as exc:
-        _fail(str(exc), 2)
-    except NumericError as exc:
-        _fail(str(exc), 3)
+_FAMILY_OPTIONS = [
+    click.option(
+        "--function",
+        type=click.Choice(tuple(FAMILIES)),
+        required=True,
+        help="Function family to operate on.",
+    ),
+    click.option("--nu", default=None, help="Order parameter (bessel, qbessel)."),
+    click.option("--q", default=None, help="Base in (0,1) (qbessel, qairy)."),
+    click.option(
+        "--discriminant",
+        type=int,
+        default=None,
+        help="Fundamental discriminant (dirichlet).",
+    ),
+    click.option(
+        "--precision",
+        type=int,
+        default=None,
+        help="Significant decimal digits (default 50, or ZEROSUM_PRECISION).",
+    ),
+    click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(["json", "csv", "text"]),
+        default="text",
+        show_default=True,
+        help="Output encoding.",
+    ),
+]
 
 
-def _family_options(fn):
-    decorators = [
-        click.option(
-            "--function",
-            type=click.Choice(FUNCTIONS),
-            required=True,
-            help="Function family to operate on.",
-        ),
-        click.option("--nu", default=None, help="Order parameter (bessel, qbessel)."),
-        click.option("--q", default=None, help="Base in (0,1) (qbessel, qairy)."),
-        click.option(
-            "--discriminant",
-            type=int,
-            default=None,
-            help="Fundamental discriminant (dirichlet).",
-        ),
-        click.option(
-            "--precision",
-            type=int,
-            default=None,
-            help="Significant decimal digits (default 50, or ZEROSUM_PRECISION).",
-        ),
-        click.option(
-            "--format",
-            "fmt",
-            type=click.Choice(["json", "csv", "text"]),
-            default="text",
-            show_default=True,
-            help="Output encoding.",
-        ),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+_SCALE_OPTION = click.option(
+    "--scale",
+    default="-1",
+    show_default=True,
+    help="Scaling constant used by the determinant route.",
+)
 
 
 @click.group()
@@ -244,68 +350,58 @@ def main():
     """High-precision sums over zeros of special entire functions."""
 
 
+def _family_command(name):
+    """Register subcommand ``name`` with the shared family options.
+
+    The command receives a validated RunConfig and its own remaining
+    options; configuration errors exit with code 2, numeric failures 3.
+    """
+
+    def register(run):
+        @functools.wraps(run)
+        def command(function, nu, q, discriminant, precision, fmt, order,
+                    method="both", scale="-1", **options):
+            required = FAMILIES[function].params
+            supplied = {"nu": nu, "q": q, "discriminant": discriminant}
+            try:
+                for param in required:
+                    if supplied[param] is None:
+                        raise ConfigurationError(f"--function {function} requires --{param}")
+                for param, value in supplied.items():
+                    if value is not None and param not in required:
+                        raise ConfigurationError(
+                            f"--{param} does not apply to --function {function}"
+                        )
+                if order < 1:
+                    raise ConfigurationError(f"--order must be at least 1, got {order}")
+                cfg = RunConfig(
+                    function=function,
+                    nu=_parse_real(nu, "--nu"),
+                    q=_parse_real(q, "--q"),
+                    discriminant=discriminant,
+                    order=order,
+                    precision=_resolve_precision(precision),
+                    method=method,
+                    fmt=fmt,
+                    scale=_parse_real(scale, "--scale"),
+                )
+                return run(cfg, **options)
+            except ConfigurationError as exc:
+                _fail(str(exc), 2)
+            except NumericError as exc:
+                _fail(str(exc), 3)
+
+        for option in reversed(_FAMILY_OPTIONS):
+            command = option(command)
+        return main.command(name)(command)
+
+    return register
+
+
 # ---------------------------------------------------------------- sums
 
 
-def _run_sums(cfg, show_sigmas):
-    series = _series_for(cfg)
-    p = cfg.precision
-    reports = {}
-    if cfg.method in ("recurrence", "both"):
-        reports[METHOD_RECURRENCE] = power_sums_recurrence(series)
-    if cfg.method in ("determinant", "both"):
-        reports[METHOD_DETERMINANT] = power_sums_determinant(series, scale=cfg.scale)
-
-    sigma_strs = [_nstr(series.sigmas[n], p) for n in range(1, cfg.order + 1)]
-    sums_entries = []
-    for n in range(1, cfg.order + 1):
-        for name in (METHOD_RECURRENCE, METHOD_DETERMINANT):
-            if name in reports:
-                sums_entries.append(
-                    {"n": n, "value": _nstr(reports[name].value(n), p), "method": name}
-                )
-
-    if cfg.fmt == "json":
-        payload = {
-            "function": cfg.function,
-            "params": _params_payload(cfg),
-            "precision": p,
-        }
-        if show_sigmas:
-            payload["sigmas"] = [
-                {"n": n, "value": sigma_strs[n - 1]} for n in range(1, cfg.order + 1)
-            ]
-        payload["sums"] = sums_entries
-        _echo_json(payload)
-    elif cfg.fmt == "csv":
-        rows = []
-        for n in range(1, cfg.order + 1):
-            rec = (
-                _nstr(reports[METHOD_RECURRENCE].value(n), p)
-                if METHOD_RECURRENCE in reports
-                else ""
-            )
-            det = (
-                _nstr(reports[METHOD_DETERMINANT].value(n), p)
-                if METHOD_DETERMINANT in reports
-                else ""
-            )
-            rows.append([n, sigma_strs[n - 1], rec, det])
-        _echo_csv(["n", "sigma", "s_recurrence", "s_determinant"], rows)
-    else:
-        click.echo(f"# power sums: {cfg.function}, precision {p}")
-        params = _params_payload(cfg)
-        if params:
-            click.echo("# " + ", ".join(f"{k} = {v}" for k, v in params.items()))
-        if show_sigmas:
-            for n in range(1, cfg.order + 1):
-                click.echo(f"sigma[{n}] = {sigma_strs[n - 1]}")
-        for entry in sums_entries:
-            click.echo(f"s[{entry['n']}] ({entry['method']}) = {entry['value']}")
-
-
-@main.command("sums")
-@_family_options
+@_family_command("sums")
 @click.option("--order", type=int, default=5, show_default=True)
 @click.option(
     "--method",
@@ -313,69 +409,48 @@ def _run_sums(cfg, show_sigmas):
     default="both",
     show_default=True,
 )
-@click.option(
-    "--scale",
-    default="-1",
-    show_default=True,
-    help="Scaling constant used by the determinant route.",
-)
+@_SCALE_OPTION
 @click.option(
     "--sigmas",
     "show_sigmas",
     is_flag=True,
     help="Also print the normalized coefficients.",
 )
-def cmd_sums(function, nu, q, discriminant, precision, fmt, order, method, scale, show_sigmas):
+def cmd_sums(cfg, show_sigmas):
     """Compute power sums of reciprocal (squared) zeros."""
+    series = _series_for(cfg)
+    p = cfg.precision
+    orders = range(1, cfg.order + 1)
+    reports = {}
+    if cfg.method in ("recurrence", "both"):
+        reports[METHOD_RECURRENCE] = power_sums_recurrence(series)
+    if cfg.method in ("determinant", "both"):
+        reports[METHOD_DETERMINANT] = power_sums_determinant(series, scale=cfg.scale)
 
-    def body():
-        cfg = _build_config(
-            function, nu, q, discriminant, order, precision, method, fmt, scale
-        )
-        _run_sums(cfg, show_sigmas)
-
-    _dispatch(body)
+    sigmas = [mp.nstr(series.sigmas[n], p) for n in orders]
+    values = {name: [mp.nstr(r.value(n), p) for n in orders] for name, r in reports.items()}
+    sums = [
+        {"n": n, "value": values[name][n - 1], "method": name} for n in orders for name in values
+    ]
+    payload = {}
+    text = _text_header(cfg, "power sums", _params_payload(cfg))
+    if show_sigmas:
+        payload["sigmas"] = [{"n": n, "value": s} for n, s in zip(orders, sigmas)]
+        text += [f"sigma[{n}] = {s}" for n, s in zip(orders, sigmas)]
+    payload["sums"] = sums
+    text += [f"s[{e['n']}] ({e['method']}) = {e['value']}" for e in sums]
+    blank = [""] * cfg.order
+    columns = [values.get(name, blank) for name in (METHOD_RECURRENCE, METHOD_DETERMINANT)]
+    _emit(
+        cfg,
+        payload,
+        ["n", "sigma", "s_recurrence", "s_determinant"],
+        zip(orders, sigmas, *columns),
+        text,
+    )
 
 
 # -------------------------------------------------------------- verify
-
-
-def _rel_diff(a, b):
-    scale = max(abs(a), abs(b))
-    if scale == 0:
-        return mp.zero
-    return abs(a - b) / scale
-
-
-def _closed_form_values(cfg, series, kmax, prec):
-    fam = cfg.function
-    if fam == "sinc":
-        # s_n is the even zeta constant: (-1)^(n+1) B_2n (2 pi)^(2n) / (2 (2n)!)
-        vals = []
-        for k in range(1, kmax + 1):
-            b = to_real(bernoulli(2 * k), prec)
-            vals.append(
-                (-1) ** (k + 1) * b * (2 * mp.pi) ** (2 * k) / (2 * mp.factorial(2 * k))
-            )
-        return vals, "even zeta constants via Bernoulli numbers"
-    if fam == "bessel":
-        params = BesselParams(nu=cfg.nu)
-        return (
-            [bessel_s_closed(params, k, prec) for k in range(1, kmax + 1)],
-            "rational closed forms in nu",
-        )
-    if fam == "qbessel":
-        params = QBesselParams(nu=cfg.nu, q=cfg.q)
-        return (
-            [qbessel_s_closed(params, k, prec) for k in range(1, kmax + 1)],
-            "rational closed forms in q and q^nu",
-        )
-    if fam == "qairy":
-        return (
-            [qairy_s_closed(cfg.q, k, prec) for k in range(1, kmax + 1)],
-            "rational closed forms in q",
-        )
-    return None, ""
 
 
 def _verify_checks(cfg, oracle_flag, count):
@@ -394,58 +469,12 @@ def _verify_checks(cfg, oracle_flag, count):
         (
             "recurrence-vs-determinant",
             worst <= tol,
-            f"max relative difference {_nstr(worst, 3)} over orders 1..{cfg.order} "
-            f"(tolerance {_nstr(tol, 3)})",
+            f"max relative difference {mp.nstr(worst, 3)} over orders 1..{cfg.order} "
+            f"(tolerance {mp.nstr(tol, 3)})",
         )
     )
-
-    closed_caps = {"sinc": 20, "bessel": 5, "qbessel": 3, "qairy": 5}
     with working(p, 15):
-        if cfg.function in closed_caps:
-            kmax = min(cfg.order, closed_caps[cfg.function])
-            vals, label = _closed_form_values(cfg, series, kmax, p)
-            worst = mp.zero
-            for k in range(1, kmax + 1):
-                worst = max(worst, _rel_diff(rec.value(k), vals[k - 1]))
-            checks.append(
-                (
-                    "closed-form-regression",
-                    worst <= tol,
-                    f"{label}, orders 1..{kmax}: max relative difference "
-                    f"{_nstr(worst, 3)}",
-                )
-            )
-        elif cfg.function == "airy":
-            raw0 = airy_raw_coefficient(0, p)
-            diff = abs(raw0 - 2 * mp.pi)
-            checks.append(
-                (
-                    "normalization",
-                    diff <= mp.mpf(10) ** (-(p - 12)),
-                    "raw series is normalized by its leading coefficient, which "
-                    f"equals 2*pi; |alpha_0 - 2*pi| = {_nstr(diff, 3)}",
-                )
-            )
-        elif cfg.function in ("zeta", "dirichlet"):
-            if cfg.function == "zeta":
-                kmax = min(cfg.order, 4)
-                vals = [riemann_s_closed(table.b, k, p) for k in range(1, kmax + 1)]
-                label = "rational closed forms in the kernel moments"
-            else:
-                kmax = 1
-                vals = [table.b[1] / (2 * table.b[0])]
-                label = "first-order closed form b1/(2*b0)"
-            worst = mp.zero
-            for k in range(1, kmax + 1):
-                worst = max(worst, _rel_diff(rec.value(k), vals[k - 1]))
-            checks.append(
-                (
-                    "closed-form-regression",
-                    worst <= tol,
-                    f"{label}, orders 1..{kmax}: max relative difference "
-                    f"{_nstr(worst, 3)}",
-                )
-            )
+        checks.append(FAMILIES[cfg.function].check(cfg, table, rec, tol))
 
     if oracle_flag:
         zl = _locate_zeros(cfg, count)
@@ -458,48 +487,17 @@ def _verify_checks(cfg, oracle_flag, count):
                     (
                         f"oracle-interval-s{n}",
                         ok,
-                        f"{zl.count} zeros: Newton value {_nstr(newton, 12)} vs "
-                        f"oracle estimate {_nstr(tps.estimate, 12)} +- "
-                        f"{_nstr(tps.error_bound, 4)} ({tps.tail.bound_kind} tail)",
+                        f"{zl.count} zeros: Newton value {mp.nstr(newton, 12)} vs "
+                        f"oracle estimate {mp.nstr(tps.estimate, 12)} +- "
+                        f"{mp.nstr(tps.error_bound, 4)} ({tps.tail.bound_kind} tail)",
                     )
                 )
     return checks
 
 
-def _locate_zeros(cfg, count):
-    p = cfg.precision
-    k = count if count is not None else _ORACLE_COUNTS[cfg.function]
-    if cfg.function == "sinc":
-        # sin(z)/z is the half-order Bessel function; its zeros k*pi,
-        # divided by pi, are the zeros k of sin(pi x)/(pi x)
-        zl = zero_oracle.bessel_zeros(Fraction(1, 2), k, p)
-        with working(p, 15):
-            return replace(
-                zl, zeros=tuple(z / mp.pi for z in zl.zeros), tol=zl.tol / mp.pi, note=""
-            )
-    if cfg.function == "bessel":
-        return zero_oracle.bessel_zeros(cfg.nu, k, p)
-    if cfg.function == "airy":
-        return zero_oracle.airy_zeros(k, p)
-    if cfg.function == "qbessel":
-        return zero_oracle.qbessel_zeros(cfg.nu, cfg.q, k, p)
-    if cfg.function == "qairy":
-        return zero_oracle.qairy_zeros(cfg.q, k, p)
-    if cfg.function == "zeta":
-        return zero_oracle.xi_zeros(k, p)
-    chi = kronecker_character(cfg.discriminant)
-    return zero_oracle.xi_zeros(k, p, chi=chi)
-
-
-@main.command("verify")
-@_family_options
+@_family_command("verify")
 @click.option("--order", type=int, default=5, show_default=True)
-@click.option(
-    "--scale",
-    default="-1",
-    show_default=True,
-    help="Scaling constant used by the determinant route.",
-)
+@_SCALE_OPTION
 @click.option(
     "--oracle",
     "oracle_flag",
@@ -512,111 +510,60 @@ def _locate_zeros(cfg, count):
     default=None,
     help="How many zeros the oracle locates (family-specific default).",
 )
-def cmd_verify(function, nu, q, discriminant, precision, fmt, order, scale, oracle_flag, count):
+def cmd_verify(cfg, oracle_flag, count):
     """Cross-check the two sum routes, closed forms, and (optionally) zeros."""
-
-    def body():
-        cfg = _build_config(
-            function, nu, q, discriminant, order, precision, "both", fmt, scale
-        )
-        checks = _verify_checks(cfg, oracle_flag, count)
-        all_ok = all(ok for _, ok, _ in checks)
-        if cfg.fmt == "json":
-            _echo_json(
-                {
-                    "function": cfg.function,
-                    "params": _params_payload(cfg),
-                    "precision": cfg.precision,
-                    "checks": [
-                        {
-                            "name": name,
-                            "status": "pass" if ok else "fail",
-                            "detail": detail,
-                        }
-                        for name, ok, detail in checks
-                    ],
-                }
-            )
-        elif cfg.fmt == "csv":
-            _echo_csv(
-                ["name", "status", "detail"],
-                [
-                    [name, "pass" if ok else "fail", detail]
-                    for name, ok, detail in checks
-                ],
-            )
-        else:
-            for name, ok, detail in checks:
-                click.echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        return all_ok
-
-    all_ok = _dispatch(body)
-    sys.exit(0 if all_ok else 1)
+    checks = _verify_checks(cfg, oracle_flag, count)
+    header = ["name", "status", "detail"]
+    rows = [[name, "pass" if ok else "fail", detail] for name, ok, detail in checks]
+    _emit(
+        cfg,
+        {"checks": [dict(zip(header, row)) for row in rows]},
+        header,
+        rows,
+        [f"{status.upper()} {name}: {detail}" for name, status, detail in rows],
+    )
+    sys.exit(0 if all(ok for _, ok, _ in checks) else 1)
 
 
 # ------------------------------------------------------------- moments
 
 
-@main.command("moments")
-@_family_options
+@_family_command("moments")
 @click.option("--order", type=int, default=4, show_default=True)
-def cmd_moments(function, nu, q, discriminant, precision, fmt, order):
+def cmd_moments(cfg):
     """Print kernel moments b_n, normalized beta_n, and error bounds."""
-
-    def body():
-        cfg = _build_config(
-            function, nu, q, discriminant, order, precision, "both", fmt, "-1"
-        )
-        if cfg.function not in ("zeta", "dirichlet"):
-            raise ConfigurationError(
-                f"moments apply only to zeta and dirichlet, not {cfg.function}"
-            )
-        p = cfg.precision
-        table = _moment_table(cfg)
-        params = _params_payload(cfg)
-        if table.parity is not None:
-            params["parity"] = table.parity
-        rows = [
-            {
-                "n": n,
-                "b": _nstr(table.b[n], p),
-                "beta": _nstr(table.beta[n], p),
-                "error_bound": _nstr(table.quadrature_error[n], 3),
-            }
-            for n in range(cfg.order + 1)
+    if FAMILIES[cfg.function].moments is None:
+        covered = " and ".join(f for f, family in FAMILIES.items() if family.moments)
+        raise ConfigurationError(f"moments apply only to {covered}, not {cfg.function}")
+    p = cfg.precision
+    table = _moment_table(cfg)
+    params = _params_payload(cfg)
+    if table.parity is not None:
+        params["parity"] = table.parity
+    header = ["n", "b", "beta", "error_bound"]
+    rows = [
+        [
+            n,
+            mp.nstr(table.b[n], p),
+            mp.nstr(table.beta[n], p),
+            mp.nstr(table.quadrature_error[n], 3),
         ]
-        if cfg.fmt == "json":
-            _echo_json(
-                {
-                    "function": cfg.function,
-                    "params": params,
-                    "precision": p,
-                    "moments": rows,
-                }
-            )
-        elif cfg.fmt == "csv":
-            _echo_csv(
-                ["n", "b", "beta", "error_bound"],
-                [[r["n"], r["b"], r["beta"], r["error_bound"]] for r in rows],
-            )
-        else:
-            click.echo(f"# kernel moments: {cfg.function}, precision {p}")
-            if params:
-                click.echo("# " + ", ".join(f"{k} = {v}" for k, v in params.items()))
-            for r in rows:
-                click.echo(
-                    f"n={r['n']}  b={r['b']}  beta={r['beta']}  "
-                    f"error<={r['error_bound']}"
-                )
-
-    _dispatch(body)
+        for n in range(cfg.order + 1)
+    ]
+    _emit(
+        cfg,
+        {"params": params, "moments": [dict(zip(header, row)) for row in rows]},
+        header,
+        rows,
+        _text_header(cfg, "kernel moments", params)
+        + [f"n={n}  b={b}  beta={beta}  error<={err}" for n, b, beta, err in rows],
+    )
 
 
 # -------------------------------------------------------------- oracle
 
 
-@main.command("oracle")
-@_family_options
+@_family_command("oracle")
 @click.option("--count", type=int, default=12, show_default=True)
 @click.option(
     "--order",
@@ -625,60 +572,40 @@ def cmd_moments(function, nu, q, discriminant, precision, fmt, order):
     show_default=True,
     help="Highest power sum to bracket from the located zeros.",
 )
-def cmd_oracle(function, nu, q, discriminant, precision, fmt, count, order):
+def cmd_oracle(cfg, count):
     """Locate zeros by sign-change brackets and bound their power sums."""
-
-    def body():
-        cfg = _build_config(
-            function, nu, q, discriminant, order, precision, "both", fmt, "-1"
-        )
-        p = cfg.precision
-        zl = _locate_zeros(cfg, count)
-        sums = []
-        with working(p, 15):
-            for n in range(1, cfg.order + 1):
-                tps = zero_oracle.truncated_power_sum(zl, n, prec=p)
-                sums.append(
-                    {
-                        "n": n,
-                        "estimate": _nstr(tps.estimate, p),
-                        "error_bound": _nstr(tps.error_bound, 3),
-                        "mode": zl.lambda_mode,
-                    }
-                )
-        if cfg.fmt == "json":
-            _echo_json(
+    p = cfg.precision
+    zl = _locate_zeros(cfg, count)
+    sums = []
+    with working(p, 15):
+        for n in range(1, cfg.order + 1):
+            tps = zero_oracle.truncated_power_sum(zl, n, prec=p)
+            sums.append(
                 {
-                    "function": cfg.function,
-                    "params": _params_payload(cfg),
-                    "precision": p,
-                    "count": zl.count,
-                    "zeros": [_nstr(z, p) for z in zl.zeros],
-                    "residuals": [_nstr(r, 3) for r in zl.residuals],
-                    "sums": sums,
+                    "n": n,
+                    "estimate": mp.nstr(tps.estimate, p),
+                    "error_bound": mp.nstr(tps.error_bound, 3),
+                    "mode": zl.lambda_mode,
                 }
             )
-        elif cfg.fmt == "csv":
-            _echo_csv(
-                ["k", "zero", "residual"],
-                [
-                    [k + 1, _nstr(z, p), _nstr(r, 3)]
-                    for k, (z, r) in enumerate(zip(zl.zeros, zl.residuals))
-                ],
-            )
-        else:
-            click.echo(f"# zeros: {cfg.function}, precision {p}, count {zl.count}")
-            if zl.note:
-                click.echo(f"# {zl.note}")
-            for k, (z, r) in enumerate(zip(zl.zeros, zl.residuals)):
-                click.echo(f"zero[{k + 1}] = {_nstr(z, p)}  (residual {_nstr(r, 3)})")
-            for s in sums:
-                click.echo(
-                    f"s[{s['n']}] = {s['estimate']} +- {s['error_bound']}"
-                    f"  (mode {s['mode']})"
-                )
-
-    _dispatch(body)
+    zeros = [mp.nstr(z, p) for z in zl.zeros]
+    residuals = [mp.nstr(r, 3) for r in zl.residuals]
+    rows = list(zip(range(1, len(zeros) + 1), zeros, residuals))
+    text = [f"# zeros: {cfg.function}, precision {p}, count {zl.count}"]
+    if zl.note:
+        text.append(f"# {zl.note}")
+    text += [f"zero[{k}] = {z}  (residual {r})" for k, z, r in rows]
+    text += [
+        f"s[{s['n']}] = {s['estimate']} +- {s['error_bound']}  (mode {s['mode']})"
+        for s in sums
+    ]
+    _emit(
+        cfg,
+        {"count": zl.count, "zeros": zeros, "residuals": residuals, "sums": sums},
+        ["k", "zero", "residual"],
+        rows,
+        text,
+    )
 
 
 if __name__ == "__main__":
