@@ -538,8 +538,7 @@ def cmd_moments(cfg):
     p = cfg.precision
     table = _moment_table(cfg)
     params = _params_payload(cfg)
-    if table.parity is not None:
-        params["parity"] = table.parity
+    params["parity"] = table.parity
     header = ["n", "b", "beta", "error_bound"]
     rows = [
         [
@@ -586,6 +585,7 @@ def cmd_oracle(cfg, count):
                     "estimate": mp.nstr(tps.estimate, p),
                     "error_bound": mp.nstr(tps.error_bound, 3),
                     "mode": zl.lambda_mode,
+                    "tail": tps.tail.bound_kind,
                 }
             )
     zeros = [mp.nstr(z, p) for z in zl.zeros]
@@ -596,7 +596,8 @@ def cmd_oracle(cfg, count):
         text.append(f"# {zl.note}")
     text += [f"zero[{k}] = {z}  (residual {r})" for k, z, r in rows]
     text += [
-        f"s[{s['n']}] = {s['estimate']} +- {s['error_bound']}  (mode {s['mode']})"
+        f"s[{s['n']}] = {s['estimate']} +- {s['error_bound']}  (mode {s['mode']}) "
+        f"[{s['tail']} tail]"
         for s in sums
     ]
     _emit(

@@ -41,7 +41,7 @@ from .errors import (
     ScanExhaustedError,
 )
 from .precision import DEFAULT_PREC, check_precision, to_real, working
-from .zeta import QuadratureConfig, XiEvaluator
+from .zeta import XiEvaluator
 
 BESSEL_COUNT_CAP = 500
 AIRY_COUNT_CAP = 200
@@ -702,7 +702,7 @@ def _ordinate_for_count(count):
     return t
 
 
-def xi_zeros(count, prec=DEFAULT_PREC, config=None, chi=None):
+def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
     """First `count` positive ordinates where the cosine transform vanishes.
 
     Scans [10, T] in 0.5 steps (T from the smooth counting term), refines
@@ -713,9 +713,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, config=None, chi=None):
     and no counting cross-check is available.
     """
     _check_count(count, XI_COUNT_CAP, prec)
-    if config is None:
-        config = QuadratureConfig(points=48)
-    ev = XiEvaluator(chi=chi, prec=prec, config=config)
+    ev = XiEvaluator(chi=chi, prec=prec, points=48)
     with working(prec, 15):
         if chi is None:
             t_end = _ordinate_for_count(count + 1) + 2.0

@@ -42,23 +42,8 @@ MOMENT_ORDER_CAP = 12
 
 _SERIES_TERM_CAP = 2_000_000
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tunables for the kernel quadrature.
-
-    target_digits: absolute accuracy goal (decimal digits) for integrals;
-        defaults to precision + 15.
-    t_cutoff: upper integration limit; defaults to the closed-form decay
-        envelope solve for the target.
-    points: Gauss-Legendre points per panel.
-    max_doublings: refinement budget (panels = 2, 4, 8, ...).
-    """
-
-    target_digits: int = 0
-    t_cutoff: object = None
-    points: int = 24
-    max_doublings: int = 10
+# refinement budget of the quadrature: panels = 2, 4, 8, ... up to 2^10
+_MAX_DOUBLINGS = 10
 
 
 @dataclass(frozen=True)
@@ -288,24 +273,21 @@ class XiEvaluator:
     chi = None selects the Riemann kernel; any other chi must pass the
     theta self-check, or DomainError is raised.  The kernel values at the
     quadrature nodes are computed once per refinement level and reused
-    across every moment order and every transform argument.
+    across every moment order and every transform argument.  Integrals
+    aim at prec + 15 digits; `points` is the Gauss-Legendre rule size of
+    every panel.
     """
 
-    def __init__(self, chi=None, prec=DEFAULT_PREC, config=None):
+    def __init__(self, chi=None, prec=DEFAULT_PREC, points=24):
         check_precision(prec)
         if chi is not None:
             _theta_gate(chi, prec)
         self.chi = chi
         self.prec = prec
-        cfg = config or QuadratureConfig()
         m, alpha, const = _kernel_shape(chi)
         self.modulus = m
-        target = cfg.target_digits or prec + 15
-        if target < 20:
-            raise DomainError("target_digits must be at least 20")
-        t_cut = cfg.t_cutoff
-        if t_cut is None:
-            t_cut = _solve_t_cutoff(m, alpha, const, target, MOMENT_ORDER_CAP)
+        target = prec + 15
+        t_cut = _solve_t_cutoff(m, alpha, const, target, MOMENT_ORDER_CAP)
         self.t_cutoff = to_real(t_cut, 40)
         tail0 = _tail_bound(m, alpha, const, float(self.t_cutoff), 0)
         if not tail0 < mpf(10) ** (-(target + 5)):
@@ -313,8 +295,7 @@ class XiEvaluator:
                 f"t_cutoff {t_cut} leaves a kernel tail above 10^-{target + 5}"
             )
         self.target_digits = target
-        self.points = cfg.points
-        self.max_doublings = cfg.max_doublings
+        self.points = points
         self._alpha = alpha
         self._const = const
         self._dps = target + 25
@@ -363,23 +344,14 @@ class XiEvaluator:
             self._levels[k] = (nodes, tuple(wphi), +err_sum, offsets, tuple(panels))
         return self._levels[k]
 
-    def _integrate(self, k, weight):
-        nodes, wphi, err_sum = self._level(k)[:3]
-        with mp.workdps(self._dps):
-            acc = mp.zero
-            for t_node, wv in zip(nodes, wphi):
-                acc += wv * weight(t_node)
-            return +acc, err_sum
-
     def _cosine(self, k, zv):
         """Level-k sum of w Phi(t) cos(zv t), panel by panel.
 
         cos(z (m + u)) = cos(z m) cos(z u) - sin(z m) sin(z u), so one sweep
         takes cos_sin once per local offset and once per panel midpoint and
         two dot products per panel, in place of a cosine at every node.
-        Returns (value, summed node error) as `_integrate` does.
         """
-        _, _, err_sum, offsets, panels = self._level(k)
+        _, _, _, offsets, panels = self._level(k)
         with mp.workdps(self._dps):
             local = [mp.cos_sin(zv * u) for u in offsets]
             cos_u = [c for c, _ in local]
@@ -390,37 +362,16 @@ class XiEvaluator:
             for mid, even, odd in panels:
                 c, s = mp.cos_sin(zv * mid)
                 acc += c * mp.fdot(even, cos_u) - s * mp.fdot(odd, sin_u)
-            return +acc, err_sum
-
-    def _converged(self, sweep, scale_floor, err_scale):
-        """Sweep doubling refinements, sweep(k) -> (value, node error), until two agree.
-
-        err_scale bounds |weight| on the interval, amplifying the cached
-        per-node kernel errors.
-        """
-        with mp.workdps(self._dps):
-            tol = mpf(10) ** (-self.target_digits)
-            prev = None
-            for k in range(1, self.max_doublings + 1):
-                cur, err_sum = sweep(k)
-                if prev is not None:
-                    gap = abs(cur - prev)
-                    if gap <= tol * max(abs(cur), scale_floor):
-                        return cur, gap + err_sum * err_scale
-                prev = cur
-        raise AccuracyError(
-            "quadrature did not converge within the refinement budget"
-        )
-
-    def transform(self, z):
-        """Cosine transform at z with a certified absolute error bound."""
-        with mp.workdps(self._dps):
-            zv = to_real(z, self._dps)
-            value, err = self._converged(lambda k: self._cosine(k, zv), mpf(1), mpf(1))
-            return value, err
+            return +acc
 
     def moment(self, n):
-        """(b_n, error bound): the 2n-th kernel moment."""
+        """(b_n, error bound): the 2n-th kernel moment.
+
+        The panel count doubles until two successive levels agree.  The
+        bound adds their gap, the cached per-node kernel errors amplified
+        by the largest weight t^(2n) on [0, t_cutoff], and the tail beyond
+        t_cutoff.
+        """
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"moment index must be >= 0, got {n!r}")
         if n > MOMENT_ORDER_CAP:
@@ -429,14 +380,24 @@ class XiEvaluator:
             )
         with mp.workdps(self._dps):
             wmax = max(mp.one, self.t_cutoff ** (2 * n))
-            weight = (lambda t: mp.one) if n == 0 else (lambda t: t ** (2 * n))
-            value, err = self._converged(
-                lambda k: self._integrate(k, weight), mpf(1), wmax
-            )
-            tail = _tail_bound(
-                self.modulus, self._alpha, self._const, float(self.t_cutoff), n
-            )
-            return value, +(err + tail)
+            tol = mpf(10) ** (-self.target_digits)
+            prev = None
+            for k in range(1, _MAX_DOUBLINGS + 1):
+                nodes, wphi, err_sum = self._level(k)[:3]
+                cur = mp.zero
+                for t_node, wv in zip(nodes, wphi):
+                    cur += wv * t_node ** (2 * n)
+                if prev is not None:
+                    gap = abs(cur - prev)
+                    if gap <= tol * max(abs(cur), mp.one):
+                        tail = _tail_bound(
+                            self.modulus, self._alpha, self._const, float(self.t_cutoff), n
+                        )
+                        return cur, +(gap + err_sum * wmax + tail)
+                prev = cur
+        raise AccuracyError(
+            "quadrature did not converge within the refinement budget"
+        )
 
     def calibrate_transform(self, z_probes):
         """Fix a single refinement level for bulk transform evaluation.
@@ -452,21 +413,19 @@ class XiEvaluator:
             raise DomainError("calibration needs at least one probe argument")
         with mp.workdps(self._dps):
             tol = mpf(10) ** (-self.target_digits)
-            for k in range(2, self.max_doublings + 1):
+            for k in range(2, _MAX_DOUBLINGS + 1):
                 worst = mp.zero
                 ok = True
                 for z in probes:
                     zv = to_real(z, self._dps)
-                    cur, _ = self._cosine(k, zv)
-                    prev, _ = self._cosine(k - 1, zv)
-                    gap = abs(cur - prev)
+                    gap = abs(self._cosine(k, zv) - self._cosine(k - 1, zv))
                     if gap > worst:
                         worst = gap
                     if gap > tol:
                         ok = False
                         break
                 if ok:
-                    self._bulk_level = min(k + 1, self.max_doublings)
+                    self._bulk_level = min(k + 1, _MAX_DOUBLINGS)
                     level_err = self._level(self._bulk_level)[2]
                     self._bulk_err = +(8 * (worst + level_err) + tol)
                     return self._bulk_level, self._bulk_err
@@ -474,12 +433,11 @@ class XiEvaluator:
 
     def transform_at(self, z):
         """Single-sweep cosine transform at the calibrated level."""
-        if getattr(self, "_bulk_level", None) is None:
+        if self._bulk_level is None:
             raise AccuracyError("call calibrate_transform before transform_at")
         with mp.workdps(self._dps):
             zv = to_real(z, self._dps)
-            value, _ = self._cosine(self._bulk_level, zv)
-            return value, self._bulk_err
+            return self._cosine(self._bulk_level, zv), self._bulk_err
 
     def moment_table(self, order):
         """MomentTable with b_0..b_order, beta_0..beta_order, error bounds."""
@@ -520,24 +478,14 @@ class XiEvaluator:
         )
 
 
-def xi_cosine(z, prec=DEFAULT_PREC, config=None, chi=None):
-    """One-shot cosine transform value at z (builds a fresh grid)."""
-    ev = XiEvaluator(chi=chi, prec=prec, config=config)
-    value, err = ev.transform(z)
-    with mp.workdps(40):
-        if err > mpf(10) ** (-(ev.target_digits - 5)):
-            raise AccuracyError("cosine transform error bound exceeds the target")
-    return value
-
-
-def riemann_moments(order, prec=DEFAULT_PREC, config=None):
+def riemann_moments(order, prec=DEFAULT_PREC):
     """Moment table of the Riemann kernel."""
-    return XiEvaluator(chi=None, prec=prec, config=config).moment_table(order)
+    return XiEvaluator(chi=None, prec=prec).moment_table(order)
 
 
-def dirichlet_moments(chi, order, prec=DEFAULT_PREC, config=None):
+def dirichlet_moments(chi, order, prec=DEFAULT_PREC):
     """Moment table of a Dirichlet kernel, gated by the theta self-check."""
-    return XiEvaluator(chi=chi, prec=prec, config=config).moment_table(order)
+    return XiEvaluator(chi=chi, prec=prec).moment_table(order)
 
 
 def riemann_s_closed(b, k, prec=DEFAULT_PREC):

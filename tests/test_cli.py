@@ -334,6 +334,23 @@ def test_oracle_csv_and_text(runner):
     assert "(mode plain)" in txt.output
 
 
+@pytest.mark.parametrize(
+    "params, kind",
+    [
+        (["--function", "qairy", "--q", "0.5"], "geometric-ratio"),
+        (["--function", "bessel", "--nu", "0"], "asymptotic-density"),
+    ],
+)
+def test_oracle_names_the_tail_model(runner, params, kind):
+    args = ["oracle", *params, "--count", "4", "--order", "2", "--precision", "30"]
+    res = _invoke(runner, args + ["--format", "json"])
+    assert res.exit_code == 0
+    assert [s["tail"] for s in json.loads(res.output)["sums"]] == [kind, kind]
+    txt = _invoke(runner, args)
+    assert txt.exit_code == 0
+    assert txt.output.count(f") [{kind} tail]\n") == 2
+
+
 def test_oracle_rejects_bad_q(runner):
     res = runner.invoke(
         main, ["oracle", "--function", "qairy", "--q", "0.95", "--count", "3"]

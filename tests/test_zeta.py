@@ -19,7 +19,6 @@ from zerosum import (
     DomainError,
     LimitExceededError,
     MomentTable,
-    QuadratureConfig,
     XiEvaluator,
     dirichlet_moments,
     kronecker_character,
@@ -29,7 +28,6 @@ from zerosum import (
     riemann_moments,
     riemann_s_closed,
     theta_selfcheck,
-    xi_cosine,
     xi_zeros,
 )
 
@@ -104,8 +102,7 @@ def _raw_dirichlet_kernel(chi, t, terms=400):
     return 4 * mp.exp(-(1 + 2 * a) * t / 2) * total
 
 
-def _completed_zeta_half():
-    s = mp.mpf(1) / 2
+def _completed_zeta(s):
     return s * (s - 1) / 2 * mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
 
 
@@ -116,6 +113,15 @@ def _completed_l(chi, s):
         chi(r) * mp.zeta(s, mp.mpf(r) / m) for r in range(1, m + 1)
     )
     return (mp.mpf(m) / mp.pi) ** ((s + a) / 2) * mp.gamma((s + a) / 2) * L
+
+
+def _transform(z, chi=None):
+    # the path xi_zeros runs: 48-point panels, one level calibrated at z
+    ev = XiEvaluator(chi=chi, prec=40, points=48)
+    ev.calibrate_transform([z])
+    value, err = ev.transform_at(z)
+    assert err <= mp.mpf(10) ** (-(ev.target_digits - 5))
+    return value
 
 
 def test_phi_riemann_against_raw_kernel_sum():
@@ -184,15 +190,14 @@ def test_riemann_moment_table(riemann_table):
 
 
 def test_riemann_b0_is_completed_zeta_at_half(riemann_table):
-    assert rel_err(riemann_table.b[0], _completed_zeta_half()) < mp.mpf("1e-45")
+    assert rel_err(riemann_table.b[0], _completed_zeta(mp.mpf(1) / 2)) < mp.mpf("1e-45")
 
 
 def test_riemann_transform_matches_complex_completed_zeta():
-    got0 = xi_cosine(0, 40)
-    assert rel_err(got0, _completed_zeta_half()) < mp.mpf("1e-38")
-    got2 = xi_cosine(2, 40)
-    s = mp.mpc(mp.mpf(1) / 2, 2)
-    want = s * (s - 1) / 2 * mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
+    got0 = _transform(0)
+    assert rel_err(got0, _completed_zeta(mp.mpf(1) / 2)) < mp.mpf("1e-38")
+    got2 = _transform(2)
+    want = _completed_zeta(mp.mpc(mp.mpf(1) / 2, 2))
     assert abs(mp.im(want)) < mp.mpf("1e-55")
     assert rel_err(got2, mp.re(want)) < mp.mpf("1e-36")
 
@@ -211,8 +216,8 @@ def test_riemann_closed_power_sums(riemann_table):
 
 def test_xi_sign_change_at_first_zero_ordinate():
     # the first zero ordinate 14.134725... sits between the probe points
-    assert xi_cosine(14, 40) > 0
-    assert xi_cosine("14.2", 40) < 0
+    assert _transform(14) > 0
+    assert _transform("14.2") < 0
 
 
 def test_dirichlet_moment_tables_frozen_and_independent():
@@ -231,7 +236,7 @@ def test_dirichlet_moment_tables_frozen_and_independent():
 
 def test_dirichlet_transform_matches_hurwitz_value():
     chi = kronecker_character(-3)
-    got = xi_cosine(1, 40, chi=chi)
+    got = _transform(1, chi=chi)
     want = _completed_l(chi, mp.mpc(mp.mpf(1) / 2, 1))
     assert abs(mp.im(want)) < mp.mpf("1e-50")
     assert rel_err(got, mp.re(want)) < mp.mpf("1e-34")
@@ -281,14 +286,12 @@ def test_every_character_kernel_path_rejects_impostor_tables():
             XiEvaluator(chi=fake, prec=40)
         with pytest.raises(DomainError):
             xi_zeros(2, 40, chi=fake)
-        with pytest.raises(DomainError):
-            xi_cosine(1, 40, chi=fake)
 
 
 @functools.lru_cache(maxsize=None)
 def _evaluator(d, points):
     chi = None if d is None else kronecker_character(d)
-    return XiEvaluator(chi=chi, prec=30, config=QuadratureConfig(points=points))
+    return XiEvaluator(chi=chi, prec=30, points=points)
 
 
 @settings(
@@ -307,12 +310,37 @@ def test_folded_cosine_sweep_matches_per_node_sum(z, d, points):
     ev = _evaluator(d, points)
     zv = mp.mpf(z)
     for k in range(1, 5):
-        folded, _ = ev._cosine(k, zv)
+        folded = ev._cosine(k, zv)
         nodes, wphi = ev._level(k)[:2]
         with mp.workdps(ev._dps):
             direct = mp.fsum(wv * mp.cos(zv * t) for t, wv in zip(nodes, wphi))
             size = mp.fsum(abs(wv) for wv in wphi)
             assert abs(folded - direct) <= mp.mpf(10) ** (8 - ev._dps) * size, k
+
+
+@functools.lru_cache(maxsize=None)
+def _calibrated(d):
+    # as xi_zeros builds and calibrates its evaluator
+    chi = None if d is None else kronecker_character(d)
+    ev = XiEvaluator(chi=chi, prec=30, points=48)
+    ev.calibrate_transform([40, 20, 12])
+    return ev
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    # the autouse 90-digit ambient fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(z=st.floats(min_value=0, max_value=40), d=st.sampled_from([None, -3, 5]))
+def test_calibrated_transform_within_its_printed_bound(z, d):
+    # err is the bound xi_zeros prints as its transform error bound
+    ev = _calibrated(d)
+    s = mp.mpc(mp.mpf(1) / 2, z)
+    want = _completed_zeta(s) if d is None else _completed_l(ev.chi, s)
+    got, err = ev.transform_at(z)
+    assert abs(got - mp.re(want)) <= err
 
 
 def test_moment_order_cap():
@@ -323,6 +351,6 @@ def test_moment_order_cap():
 
 
 def test_quadrature_config_override_converges():
-    tab = riemann_moments(1, 35, config=QuadratureConfig(points=16))
+    tab = XiEvaluator(prec=35, points=16).moment_table(1)
     assert rel_err(tab.b[0], mp.mpf(RIEMANN_B[0])) < mp.mpf("1e-25")
     assert rel_err(tab.b[1], mp.mpf(RIEMANN_B[1])) < mp.mpf("1e-25")
