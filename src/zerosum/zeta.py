@@ -137,20 +137,37 @@ def _phi_pass(chi, t, dps, eps_rel=None, stop_abs=None):
         return +total, +maxmag, nterms
 
 
-def _phi_with_error(chi, t, abs_tol):
-    """Kernel value and a certified absolute error bound below abs_tol."""
+def _phi_nodes(chi, ts, abs_tol):
+    """Kernel values at every t in ts, each with a certified error below abs_tol.
+
+    Returns a list of (value, absolute error bound) pairs.  The working
+    digits, the series stop threshold and the rounding unit depend on
+    abs_tol alone, so they are set up once for all the points.
+    """
     with mp.workdps(40):
         tol = abs(to_real(abs_tol, 30))
         if tol == 0:
             raise DomainError("abs_tol must be nonzero")
         need = -mp.log10(tol)
     dps = int(need) + 20
-    total, maxmag, nterms = _phi_pass(chi, t, dps, stop_abs=tol / 8)
+    stop = tol / 8
     with mp.workdps(30):
-        round_err = (nterms + 5) * maxmag * mpf(10) ** (1 - dps) + tol / 4
+        unit = mpf(10) ** (1 - dps)
+        floor = tol / 4
+    pairs = []
+    for t in ts:
+        total, maxmag, nterms = _phi_pass(chi, t, dps, stop_abs=stop)
+        with mp.workdps(30):
+            round_err = (nterms + 5) * maxmag * unit + floor
         if not round_err <= tol:
             raise AccuracyError("kernel value did not reach the absolute error target")
-        return total, +round_err
+        pairs.append((total, round_err))
+    return pairs
+
+
+def _phi_with_error(chi, t, abs_tol):
+    """Kernel value and a certified absolute error bound below abs_tol."""
+    return _phi_nodes(chi, (t,), abs_tol)[0]
 
 
 def _phi_relative(chi, t, prec):
@@ -320,10 +337,11 @@ class XiEvaluator:
         """
         if k not in self._levels:
             grid = panel_grid(0, self.t_cutoff, 2**k, self.points, self._dps)
+            nodes = tuple(t for t, _ in grid)
+            pairs = _phi_nodes(self.chi, nodes, self._node_tol)
             wphi = []
             err_sum = mp.zero
-            for t_node, w_node in grid:
-                val, err = _phi_with_error(self.chi, t_node, self._node_tol)
+            for (_, w_node), (val, err) in zip(grid, pairs):
                 with mp.workdps(self._dps):
                     wphi.append(w_node * val)
                 err_sum += w_node * err
@@ -340,7 +358,6 @@ class XiEvaluator:
                         even.append(row[half])
                     mid = (grid[start][0] + grid[start + n - 1][0]) / 2
                     panels.append((mid, even, odd))
-            nodes = tuple(t for t, _ in grid)
             self._levels[k] = (nodes, tuple(wphi), +err_sum, offsets, tuple(panels))
         return self._levels[k]
 
@@ -402,11 +419,12 @@ class XiEvaluator:
     def calibrate_transform(self, z_probes):
         """Fix a single refinement level for bulk transform evaluation.
 
-        Finds the coarsest level whose integral agrees with the next one
-        at every probe argument, then locks one level beyond it and an
-        absolute error bound (largest observed gap, with safety margin).
-        Bulk zero scans use transform_at() afterwards, which costs one
-        grid sweep instead of a full refinement ladder.
+        Builds levels 1, 2, 3, ... until level k agrees with level k - 1
+        at every probe argument, and locks level k: no level above it is
+        built.  The absolute error bound is 8 (largest gap at the probes
+        + summed node error of level k) + 10^-target_digits.  Bulk zero
+        scans use transform_at() afterwards, which costs one grid sweep
+        instead of a full refinement ladder.
         """
         probes = tuple(z_probes)
         if not probes:
@@ -425,9 +443,8 @@ class XiEvaluator:
                         ok = False
                         break
                 if ok:
-                    self._bulk_level = min(k + 1, _MAX_DOUBLINGS)
-                    level_err = self._level(self._bulk_level)[2]
-                    self._bulk_err = +(8 * (worst + level_err) + tol)
+                    self._bulk_level = k
+                    self._bulk_err = +(8 * (worst + self._level(k)[2]) + tol)
                     return self._bulk_level, self._bulk_err
         raise AccuracyError("transform calibration did not converge")
 

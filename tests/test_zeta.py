@@ -9,6 +9,7 @@ Independent references used here:
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +31,9 @@ from zerosum import (
     theta_selfcheck,
     xi_zeros,
 )
+
+from zerosum import oracle, zeta
+from zerosum.precision import to_real
 
 from conftest import rel_err
 
@@ -341,6 +345,91 @@ def test_calibrated_transform_within_its_printed_bound(z, d):
     want = _completed_zeta(s) if d is None else _completed_l(ev.chi, s)
     got, err = ev.transform_at(z)
     assert abs(got - mp.re(want)) <= err
+
+
+class _RecordingEvaluator(XiEvaluator):
+    # keeps the probes, the locked level and the swept range of one xi_zeros run
+    def calibrate_transform(self, z_probes):
+        self.probes = tuple(z_probes)
+        self.locked = super().calibrate_transform(self.probes)
+        self.swept = []
+        return self.locked
+
+    def transform_at(self, z):
+        self.swept.append(z)
+        return super().transform_at(z)
+
+
+@functools.lru_cache(maxsize=None)
+def _xi_zeros_evaluator(d, count):
+    # the evaluator a 30-digit xi_zeros run built, calibrated and swept
+    chi = None if d is None else kronecker_character(d)
+    made = []
+
+    def build(*args, **kwargs):
+        made.append(_RecordingEvaluator(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(oracle, "XiEvaluator", build):
+        xi_zeros(count, 30, chi)
+    (ev,) = made
+    return ev
+
+
+@pytest.mark.parametrize("d, count", [(None, 16), (-3, 2), (-4, 2)])
+def test_calibration_locks_the_first_agreeing_level_and_builds_none_above(d, count):
+    ev = _xi_zeros_evaluator(d, count)
+    level, _ = ev.locked
+    assert level == 3
+    assert sorted(ev._levels) == list(range(1, level + 1))
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    # the autouse 90-digit ambient fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    u=st.floats(min_value=0, max_value=1),
+    case=st.sampled_from([(None, 16), (-3, 2)]),
+)
+def test_transform_at_xi_zeros_probes_within_its_printed_bound(u, case):
+    # z runs from the scan start to t_end, the largest probe xi_zeros uses
+    ev = _xi_zeros_evaluator(*case)
+    lo, hi = min(ev.swept), max(ev.probes)
+    assert hi == ev.probes[0]
+    z = lo + u * (hi - lo)
+    s = mp.mpc(mp.mpf(1) / 2, z)
+    want = _completed_zeta(s) if ev.chi is None else _completed_l(ev.chi, s)
+    got, err = ev.transform_at(z)
+    assert abs(got - mp.re(want)) <= err
+
+
+def _phi_with_error_per_node(chi, t, abs_tol):
+    # the kernel node with its own set-up: the reference for the batched loop
+    with mp.workdps(40):
+        tol = abs(to_real(abs_tol, 30))
+        need = -mp.log10(tol)
+    dps = int(need) + 20
+    total, maxmag, nterms = zeta._phi_pass(chi, t, dps, stop_abs=tol / 8)
+    with mp.workdps(30):
+        round_err = (nterms + 5) * maxmag * mp.mpf(10) ** (1 - dps) + tol / 4
+        return total, +round_err
+
+
+@pytest.mark.parametrize("d", [None, -3, 5])
+def test_batched_kernel_nodes_bit_identical_to_single_nodes(d):
+    chi = None if d is None else kronecker_character(d)
+    ts = [mp.mpf(t) for t in ("0", "0.3", "1", "2")]
+    tol = "1e-52"  # a node tolerance of the precision-30 moment tables
+    batched = zeta._phi_nodes(chi, ts, tol)
+    for t, pair in zip(ts, batched):
+        want = _phi_with_error_per_node(chi, t, tol)
+        assert [v._mpf_ for v in pair] == [v._mpf_ for v in want]
+        assert [v._mpf_ for v in zeta._phi_with_error(chi, t, tol)] == [v._mpf_ for v in want]
+        public = phi_riemann(t, 30, abs_tol=tol) if d is None else phi_chi(t, chi, 30, abs_tol=tol)
+        assert public._mpf_ == want[0]._mpf_
 
 
 def test_moment_order_cap():
