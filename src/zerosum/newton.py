@@ -210,25 +210,6 @@ def elementary_symmetric_finite(lambdas, n, prec=DEFAULT_PREC):
         return +e[n]
 
 
-def power_sums_finite(lambdas, order, prec=DEFAULT_PREC):
-    """Brute-force power sums of a finite list, for cross-checks."""
-    if not isinstance(order, int) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")
-    with working(prec):
-        vals = [to_real(v, prec) for v in lambdas]
-        values = tuple(+sum((x**n for x in vals), mp.zero) for n in range(1, order + 1))
-    return PowerSumReport(
-        values=values, method=METHOD_DIRECT, precision=prec, source="finite-list"
-    )
-
-
-def series_from_finite(lambdas, order, source="finite-list", prec=DEFAULT_PREC):
-    """CoefficientSeries built from a finite zero list via e_n."""
-    sigmas = [elementary_symmetric_finite(lambdas, n, prec) for n in range(order + 1)]
-    sigmas[0] = mp.one
-    return CoefficientSeries(sigmas=tuple(sigmas), source=source, precision=prec)
-
-
 def derivative_ratio_check(lambdas, z, n, prec=DEFAULT_PREC):
     """Both sides of the n-th derivative identity for f = prod (1 - lambda_k z).
 

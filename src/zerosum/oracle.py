@@ -6,9 +6,17 @@ closing step (`_refine`); no derivative evaluations and no steps outside
 a certified bracket, so this route shares nothing with the
 coefficient-based machinery it cross-checks and the final bracket width
 localizes each zero.  A bracket the refiner cannot close within its
-step budget raises AccuracyError instead of yielding a midpoint.  Every
-bracket comes from one forward scan (`_scan`) that walks a family's
-own step rule and reports each sign change.
+step budget raises AccuracyError instead of yielding a midpoint.
+
+One per-zero loop (`_locate`) draws every bracket.  From the third zero
+on it first tries the family's seed from its zero asymptotics: McMahon's
+expansion for Bessel, DLMF 9.9.6 for Airy, and the ratio law
+x_(k+1)/x_k -> q^(-2) for the q-families.  A seed counts only if three
+checks hold: its left end lies above the previous zero, its ends carry
+the signs (-1)^(k-1) and -(-1)^(k-1) that f(0) = 1 implies for zero k,
+and the refined zero passes the family's spacing check, which costs no
+evaluation.  Otherwise a forward scan (`_scan`) from the previous zero,
+stepped by the family's own rule, brackets the zero.
 
 Series evaluation near large zeros loses digits to alternating-series
 cancellation.  Each evaluator starts from a per-family loss estimate,
@@ -468,23 +476,133 @@ def _scan(f, s, fs, advance, budget):
         s, fs = nxt, fn
 
 
-def _refine_first(f, brackets, count, tol, zeros, residuals, relative=False, label=None):
-    """Refine brackets in turn onto zeros/residuals until `count` are listed.
+def _locate(f, count, tol, start, advance, budget, label, seed=None, spaced=None,
+            relative=False, partial=False):
+    """First `count` zeros of f, given f > 0 from 0 up to its first zero.
 
-    No bracket is drawn past the count-th zero, so the scan evaluates no
-    point beyond it.  When the brackets run out first, fewer zeros are
-    listed, or with a `label` ScanExhaustedError is raised.
+    From the third zero on, zero k comes from `seed(zeros)`, a bracket
+    from the family's zero asymptotics (None where the rule has none),
+    when three checks hold: the left end lies above zero k-1; the ends
+    carry the signs (-1)^(k-1) and -(-1)^(k-1), since f changes sign once
+    at each simple zero, so a bracket about zero k+1 fails; and the
+    refined zero passes `spaced(zeros, z)`, which costs no evaluation and
+    rejects a landing on zero k+2 by comparing it with the last gap or
+    ratio.  Otherwise the scan brackets zero k with the family's step
+    rule `advance(x, zeros)`: it goes on from its last step, or after a
+    seeded zero it restarts one sixteenth of a step past that zero (at
+    `start` before the first zero), where f must carry the sign
+    (-1)^(k-1).  Each restart walks at most `budget` steps, and no point
+    past the count-th zero is evaluated.  An exhausted scan raises
+    ScanExhaustedError, or with `partial` ends the list early.
     """
-    for bracket in brackets:
-        z, res = _refine(f, *bracket, tol, relative)
-        zeros.append(+z)
-        residuals.append(+res)
-        if len(zeros) == count:
-            return
-    if label is not None:
-        raise ScanExhaustedError(
-            f"{label}: found {len(zeros)} of {count} zeros within the scan budget"
-        )
+    zeros, residuals = [], []
+    scan = None
+    while len(zeros) < count:
+        k = len(zeros) + 1
+        want = 1 if k % 2 == 1 else -1
+        located = None
+        bracket = seed(zeros) if seed is not None and k > 2 else None
+        if bracket is not None and bracket[0] > zeros[-1]:
+            lo, hi = bracket
+            flo = f(lo)
+            if _sign(flo) == want:
+                fhi = f(hi)
+                if _sign(fhi) == -want:
+                    located = _refine(f, lo, hi, flo, fhi, tol, relative)
+                    if not spaced(zeros, located[0]):
+                        located = None
+        if located is not None:
+            scan = None
+        else:
+            if scan is None:
+                s = start
+                if zeros:
+                    s = zeros[-1] + (advance(zeros[-1], zeros) - zeros[-1]) / 16
+                fs = f(s)
+                if _sign(fs) != want:
+                    raise BracketFailureError(f"{label}: sign pattern broken left of zero {k}")
+                scan = _scan(f, s, fs, lambda x: advance(x, zeros), budget)
+            bracket = next(scan, None)
+            if bracket is None:
+                if partial:
+                    break
+                raise ScanExhaustedError(
+                    f"{label}: found {len(zeros)} of {count} zeros within the scan budget"
+                )
+            located = _refine(f, *bracket, tol, relative)
+        zeros.append(+located[0])
+        residuals.append(+located[1])
+    return zeros, residuals
+
+
+# Seed rules: each proposes a bracket for zero k = len(zeros) + 1, k >= 3.
+# Each half-width has a floor of the width goal `tol`, so a bracket never
+# collapses where the expansion is exact (nu = 1/2).
+
+
+def _bessel_seed(nu, zeros, tol):
+    """McMahon's expansion (DLMF 10.21.19) through the beta^(-5) term.
+
+    beta = (k + nu/2 - 1/4) pi and mu = 4 nu^2; the half-width is 4x the
+    beta^(-7) term, and there is no seed when that is 1 or more.
+    """
+    mu = 4 * nu * nu
+    beta = (len(zeros) + 1 + nu / 2 - mpf(1) / 4) * mp.pi
+    w = 1 / (8 * beta)
+    w2 = w * w
+    series = 1 + w2 * (4 * (7 * mu - 31) / 3 + w2 * 32 * ((83 * mu - 982) * mu + 3779) / 15)
+    center = beta - (mu - 1) * w * series
+    term7 = 64 * (mu - 1) * (((6949 * mu - 153855) * mu + 1585743) * mu - 6277237) / 105
+    half = max(4 * abs(term7) * w2**3 * w, tol)
+    if not half < 1:
+        return None
+    return center - half, center + half
+
+
+def _bessel_spaced(zeros, z):
+    # consecutive Bessel gaps change slowly toward pi, while a landing on
+    # zero k+2 spans three gaps
+    return z - zeros[-1] < mpf(3) / 2 * (zeros[-1] - zeros[-2])
+
+
+def _airy_seed(zeros, tol):
+    """z_k = 3^(1/3) T(t), t = 3 pi (4k - 1)/8 (DLMF 9.9.6 and 9.9.18).
+
+    T(t) = t^(2/3) (1 + 5/48 u - 5/36 u^2 + 77125/82944 u^3) with
+    u = t^(-2); the half-width is 4x the u^4 term.
+    """
+    t = 3 * mp.pi * (4 * (len(zeros) + 1) - 1) / 8
+    u = 1 / (t * t)
+    scale = mp.cbrt(3) * t ** (mpf(2) / 3)
+    center = scale * (1 + u * (mpf(5) / 48 - u * (mpf(5) / 36 - u * mpf(77125) / 82944)))
+    half = max(4 * scale * mpf(108056875) / 6967296 * u**4, tol)
+    return center - half, center + half
+
+
+def _airy_spaced(zeros, z):
+    # the gaps between Airy zeros shrink monotonically
+    return z - zeros[-1] <= zeros[-1] - zeros[-2]
+
+
+def _ratio_seed(q, xs, tol):
+    """Ratio law x_(k+1)/x_k -> q^(-2) for the zeros of A_q and of the
+    q-Bessel series in x = z^2 (Ismail and Zhang, Adv. Math. 209 (2007);
+    Hayman, Contemp. Math. 382 (2005)).
+
+    With rho = x_(k-1)/x_(k-2) and eps = rho q^2 - 1 the excess eps
+    shrinks about q-fold per zero: the center is x_(k-1) (1 + q eps)/q^2
+    and the relative half-width |q eps|/2.
+    """
+    eps = xs[-1] / xs[-2] * q * q - 1
+    center = xs[-1] * (1 + q * eps) / (q * q)
+    half = max(abs(q * eps) / 2, tol)
+    return center * (1 - half), center * (1 + half)
+
+
+def _ratio_spaced(q, tol, xs, x):
+    # the ratios fall toward q^(-2) from above, so a landing on zero k+2
+    # has a ratio above q^(-6); 4 tol covers the located zeros' widths
+    return x / xs[-1] < min(xs[-1] / xs[-2] * (1 + 4 * tol), q**-6)
 
 
 def _check_count(count, cap, prec):
@@ -498,10 +616,12 @@ def _check_count(count, cap, prec):
 def bessel_zeros(nu, count, prec=DEFAULT_PREC):
     """First `count` positive zeros of the order-nu Bessel-type series.
 
-    Brackets are seeded from the large-zero asymptotic centers
-    (k + nu/2 - 1/4)*pi with half-pi half-width; when a seeded bracket
-    fails its sign pattern, a stepping scan from the previous zero takes
-    over.  Zeros are located to 10^(-prec/2) absolute.
+    From the third zero on, each bracket is seeded from McMahon's
+    expansion (`_bessel_seed`); the seed counts only if its ends carry
+    the expected signs and the refined zero's gap to the previous one
+    stays below 1.5x the previous gap.  Otherwise, and for the first two
+    zeros, a scan in steps of pi/8 from the previous zero brackets it
+    (see `_locate`).  Zeros are located to 10^(-prec/2) absolute.
 
     Values of f(z) = Gamma(nu+1) (2/z)^nu J_nu(z) come from its Taylor
     series below the switch point and from Hankel's expansion with the
@@ -518,42 +638,13 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
             raise DomainError(f"Bessel order must satisfy nu > -1, got {nu}")
         f = _make_bessel_eval(nuv, prec)
         xtol = mpf(10) ** (-(prec // 2))
-        pi = mp.pi
-        zeros = []
-        residuals = []
-        prev = mp.zero
-        for k in range(1, count + 1):
-            want = 1 if k % 2 == 1 else -1
-            center = (k + nuv / 2 - mpf(1) / 4) * pi
-            lo = center - pi / 2
-            hi = center + pi / 2
-            if lo <= prev:
-                lo = prev + (center - prev) / 8 if center > prev else prev + xtol * 100
-            bracket = None
-            if hi > lo:
-                flo, fhi = f(lo), f(hi)
-                if _sign(flo) == want and _sign(fhi) == -want:
-                    bracket = (lo, hi, flo, fhi)
-            if bracket is None:
-                # stepping fallback from the last located zero
-                step = pi / 8
-                s = prev + step / 16 if prev > 0 else mpf(1) / 1000
-                fs = f(s)
-                if _sign(fs) != want:
-                    raise BracketFailureError(
-                        f"sign pattern broken left of zero {k} (nu = {nu})"
-                    )
-                bracket = next(_scan(f, s, fs, lambda x: x + step, 400), None)
-                if bracket is None:
-                    raise ScanExhaustedError(
-                        f"no sign change found for zero {k} (nu = {nu})"
-                    )
-            z, res = _refine(f, *bracket, xtol)
-            if zeros and not z > zeros[-1]:
-                raise BracketFailureError(f"zero {k} is not above zero {k - 1}")
-            zeros.append(+z)
-            residuals.append(+res)
-            prev = z
+        step = mp.pi / 8
+        zeros, residuals = _locate(
+            f, count, xtol, mpf(1) / 1000, lambda x, _: x + step, 400 * count,
+            f"bessel(nu={nu})",
+            seed=lambda zs: _bessel_seed(nuv, zs, xtol),
+            spaced=_bessel_spaced,
+        )
         return ZeroList(
             zeros=tuple(zeros),
             residuals=tuple(residuals),
@@ -569,27 +660,29 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
 def airy_zeros(count, prec=DEFAULT_PREC):
     """First `count` positive zeros of the Airy-type entire function.
 
-    A forward scan with step 0.35x the last gap (gaps shrink, so no zero
-    can be skipped) brackets each zero; bracketed refinement narrows it
-    to 10^(-prec/2).
+    From the third zero on, each bracket is seeded from the asymptotic
+    form of the Airy zeros (`_airy_seed`); the seed counts only if its
+    ends carry the expected signs and the refined zero's gap to the
+    previous one does not grow.  Otherwise, and for the first two zeros,
+    a scan with step 0.35x the last gap (gaps shrink, so no zero can be
+    skipped) brackets it.  Bracketed refinement narrows each zero to
+    10^(-prec/2).
     """
     _check_count(count, AIRY_COUNT_CAP, prec)
     with working(prec, 15):
         f = _make_airy_eval(prec)
         xtol = mpf(10) ** (-(prec // 2))
-        start = mpf(1) / 10
-        fs = f(start)
-        if not fs > 0:
-            raise BracketFailureError("series is not positive near the origin")
-        zeros, residuals = [], []
 
-        def advance(x):
+        def advance(x, zeros):
             if len(zeros) > 1:
                 return x + (zeros[-1] - zeros[-2]) * mpf("0.35")
             return x + (zeros[0] * mpf("0.3") if zeros else mpf("0.6"))
 
-        brackets = _scan(f, start, fs, advance, 60 * count + 200)
-        _refine_first(f, brackets, count, xtol, zeros, residuals, label="airy")
+        zeros, residuals = _locate(
+            f, count, xtol, mpf(1) / 10, advance, 60 * count + 200, "airy",
+            seed=lambda zs: _airy_seed(zs, xtol),
+            spaced=_airy_spaced,
+        )
         return ZeroList(
             zeros=tuple(zeros),
             residuals=tuple(residuals),
@@ -604,10 +697,14 @@ def airy_zeros(count, prec=DEFAULT_PREC):
 def qairy_zeros(q, count, prec=DEFAULT_PREC):
     """First `count` zeros of the q-Airy-type series, 0 < q <= 0.9.
 
-    Zeros grow geometrically (consecutive ratios approach 1/q^2), so the
-    scan is multiplicative with ratio sqrt(1/q) and the bracketed
-    refinement is geometric; accuracy is 10^(-prec/2) relative, which is what the
-    downstream reciprocal sums consume.
+    Zeros grow geometrically (consecutive ratios approach 1/q^2).  From
+    the third zero on, each bracket is seeded from that ratio law
+    (`_ratio_seed`); the seed counts only if its ends carry the expected
+    signs and the new ratio stays below the last ratio and below q^(-6).
+    Otherwise, and for the first two zeros, a multiplicative scan with
+    ratio sqrt(1/q) brackets it.  Refinement is geometric; accuracy is
+    10^(-prec/2) relative, which is what the downstream reciprocal sums
+    consume.
     """
     _check_count(count, Q_COUNT_CAP, prec)
     with working(prec, 15):
@@ -619,14 +716,12 @@ def qairy_zeros(q, count, prec=DEFAULT_PREC):
         # first zero is at least (1-q)/q (reciprocal of the first sum)
         start = mpf(2) / 5 * (1 - qv) / qv
         ratio = mp.sqrt(1 / qv)
-        label = f"qairy(q={q})"
-        fs = f(start)
-        if not fs > 0:
-            raise BracketFailureError(f"{label}: scan start is not below the first zero")
-        zeros, residuals = [], []
-        brackets = _scan(f, start, fs, lambda x: x * ratio, 12 * count + 240)
-        _refine_first(
-            f, brackets, count, rtol, zeros, residuals, relative=True, label=label
+        zeros, residuals = _locate(
+            f, count, rtol, start, lambda x, _: x * ratio, 12 * count + 240,
+            f"qairy(q={q})",
+            seed=lambda zs: _ratio_seed(qv, zs, rtol),
+            spaced=lambda zs, z: _ratio_spaced(qv, rtol, zs, z),
+            relative=True,
         )
         return ZeroList(
             zeros=tuple(zeros),
@@ -643,9 +738,11 @@ def qairy_zeros(q, count, prec=DEFAULT_PREC):
 def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
     """First `count` positive zeros of the order-nu q-Bessel-type series.
 
-    The reduced series is entire in x = z^2, so the scan runs in x with
-    ratio 1/q (the zero ratios approach 1/q^2 in x) and reported zeros
-    are sqrt(x); accuracy is 10^(-prec/2) relative on x.
+    The reduced series is entire in x = z^2, so zeros are located in x
+    and reported as sqrt(x); accuracy is 10^(-prec/2) relative on x.  The
+    x-zero ratios approach 1/q^2: from the third zero on, each bracket is
+    seeded and checked as in `qairy_zeros`, and otherwise a scan with
+    ratio 1/q brackets it.
     """
     _check_count(count, Q_COUNT_CAP, prec)
     with working(prec, 15):
@@ -660,14 +757,12 @@ def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
         sigma1 = qv ** (nuv + 1) / (4 * (1 - qv) * (1 - qv ** (nuv + 1)))
         start = mpf(2) / 5 / sigma1
         ratio = 1 / qv
-        label = f"qbessel(nu={nu},q={q})"
-        fs = f(start)
-        if not fs > 0:
-            raise BracketFailureError(f"{label}: scan start is not below the first zero")
-        xs, residuals = [], []
-        brackets = _scan(f, start, fs, lambda x: x * ratio, 12 * count + 240)
-        _refine_first(
-            f, brackets, count, rtol, xs, residuals, relative=True, label=label
+        xs, residuals = _locate(
+            f, count, rtol, start, lambda x, _: x * ratio, 12 * count + 240,
+            f"qbessel(nu={nu},q={q})",
+            seed=lambda zs: _ratio_seed(qv, zs, rtol),
+            spaced=lambda zs, z: _ratio_spaced(qv, rtol, zs, z),
+            relative=True,
         )
         zeros = [mp.sqrt(x) for x in xs]
         return ZeroList(
@@ -729,11 +824,10 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
         xtol = mpf(10) ** (-(prec // 2))
 
         def run_scan(step):
-            zeros, residuals = [], []
             budget = int(float((mpf(t_end) - scan_lo) / step)) + 8
-            brackets = _scan(f, scan_lo, f(scan_lo), lambda x: x + step, budget)
-            _refine_first(f, brackets, count, xtol, zeros, residuals)
-            return zeros, residuals
+            return _locate(
+                f, count, xtol, scan_lo, lambda x, _: x + step, budget, "xi", partial=True
+            )
 
         step = mpf(1) / 2
         zeros, residuals = run_scan(step)

@@ -203,7 +203,8 @@ def phi_riemann(t, prec=DEFAULT_PREC, abs_tol=None):
 def phi_chi(t, chi, prec=DEFAULT_PREC, abs_tol=None):
     """Dirichlet heat-kernel density at t for a real primitive character.
 
-    The table is gated by the theta self-check; modes as in phi_riemann.
+    The table is gated by the theta self-check, once per table and
+    precision; modes as in phi_riemann.
     """
     check_precision(prec)
     _theta_gate(chi, prec)
@@ -241,11 +242,19 @@ def theta_selfcheck(chi, x, prec=DEFAULT_PREC):
 
 _THETA_GATE_POINTS = ("0.5", "1", "2")
 
+# (modulus, parity, table over one period, prec) of every table that has
+# passed the gate: chi(n) has period modulus, so the key fixes every kernel
+# the table feeds.  A failing table is never recorded.
+_GATE_PASSED = set()
+
 
 def _theta_gate(chi, prec):
     # summing at -|t| is exact only for a real primitive character; an
     # all-zero table meets the functional equation trivially, so chi(1)
     # is checked first
+    key = (chi.modulus, chi.parity, tuple(chi(n) for n in range(chi.modulus)), prec)
+    if key in _GATE_PASSED:
+        return
     if chi(1) != 1:
         raise DomainError(
             f"character table has chi(1) = {chi(1)}; table is not a real "
@@ -260,6 +269,7 @@ def _theta_gate(chi, prec):
                     f"(residual {mp.nstr(residual, 5)}); table is not a real "
                     "primitive character"
                 )
+    _GATE_PASSED.add(key)
 
 
 def _solve_t_cutoff(m, alpha, const, target, order):

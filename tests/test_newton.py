@@ -23,13 +23,32 @@ from zerosum import (
     elementary_symmetric_finite,
     lower_triangular_system_matrix,
     power_sums_determinant,
-    power_sums_finite,
     power_sums_recurrence,
-    series_from_finite,
     to_real,
+    working,
 )
 
 from conftest import det_fraction, esym_subsets, rel_err
+
+
+def power_sums_finite(lambdas, order, prec):
+    """Brute-force power sums of a finite list, for cross-checks."""
+    if not isinstance(order, int) or order < 1:
+        raise DomainError(f"order must be a positive integer, got {order!r}")
+    with working(prec):
+        vals = [to_real(v, prec) for v in lambdas]
+        values = tuple(+sum((x**n for x in vals), mp.zero) for n in range(1, order + 1))
+    return PowerSumReport(
+        values=values, method=METHOD_DIRECT, precision=prec, source="finite-list"
+    )
+
+
+def series_from_finite(lambdas, order, prec):
+    """CoefficientSeries built from a finite zero list via e_n."""
+    sigmas = [elementary_symmetric_finite(lambdas, n, prec) for n in range(order + 1)]
+    sigmas[0] = mp.one
+    return CoefficientSeries(sigmas=tuple(sigmas), source="finite-list", precision=prec)
+
 
 SCALES = ("1", "-1", "-0.25", None)  # None stands in for -pi^2, filled at runtime
 
@@ -196,7 +215,7 @@ def test_order_handling():
 
 def test_series_from_finite_round_trip(rng):
     lam = [Fraction(rng.randint(1, 99), 50) for _ in range(5)]
-    series = series_from_finite(lam, 5, prec=60)
+    series = series_from_finite(lam, 5, 60)
     assert series.sigmas[0] == 1
     rec = power_sums_recurrence(series)
     direct = power_sums_finite(lam, 5, 60)

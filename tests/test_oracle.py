@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -182,21 +183,139 @@ def test_bessel_zeros_past_hankel_switch_match_mpmath(nu, count, series_calls):
 
 
 def test_bessel_zeros_through_stepping_fallback_match_mpmath(monkeypatch):
-    # at nu = 10 the asymptotic seeds miss several of the first zeros, so
-    # those brackets come from the stepping scan instead
-    calls = []
+    # at nu = 40 McMahon's expansion offers no seed for zeros 3 and 4 (its
+    # error term is still too wide), so the scan brackets them as it does
+    # the first two zeros
+    brackets = []
     real = oracle_module._scan
 
     def spy(*args):
-        calls.append(args)
-        return real(*args)
+        for bracket in real(*args):
+            brackets.append(bracket)
+            yield bracket
 
     monkeypatch.setattr(oracle_module, "_scan", spy)
-    zl = bessel_zeros(10, 10, 30)
-    assert calls
+    zl = bessel_zeros(40, 8, 30)
+    assert len(brackets) == 4
     with mp.workdps(50):
         for k, z in enumerate(zl.zeros, 1):
-            assert abs(z - mp.besseljzero(10, k)) < mp.mpf("1e-15"), k
+            assert abs(z - mp.besseljzero(40, k)) < mp.mpf("1e-15"), k
+
+
+# family -> (locator, arguments, seed rule, spacing check, scan variable)
+SEEDED = {
+    "bessel": (bessel_zeros, (0, 12, 30), "_bessel_seed", "_bessel_spaced", False),
+    "airy": (airy_zeros, (12, 30), "_airy_seed", "_airy_spaced", False),
+    "qairy": (qairy_zeros, (Fraction(14, 25), 12, 30), "_ratio_seed", "_ratio_spaced", False),
+    "qbessel": (qbessel_zeros, (1, Fraction(31, 50), 12, 30), "_ratio_seed", "_ratio_spaced",
+                True),
+}
+
+
+def _within_tol(got, want):
+    for k, (a, b) in enumerate(zip(got.zeros, want), 1):
+        b = mp.mpf(b)
+        gap = abs(a - b) / b if got.tol_kind == "relative" else abs(a - b)
+        assert gap < got.tol, k
+
+
+def _scan_only(monkeypatch, family):
+    locate, args, seed, _, _ = SEEDED[family]
+    with monkeypatch.context() as m:
+        m.setattr(oracle_module, seed, lambda *_: None)
+        return locate(*args)
+
+
+@pytest.mark.parametrize("family", sorted(SEEDED))
+def test_scan_only_zeros_match_seeded_zeros(monkeypatch, family):
+    locate, args, _, spaced, _ = SEEDED[family]
+    accepted = []
+    real = getattr(oracle_module, spaced)
+
+    def spy(*a):
+        accepted.append(real(*a))
+        return accepted[-1]
+
+    monkeypatch.setattr(oracle_module, spaced, spy)
+    seeded = locate(*args)
+    # every zero from the third on came from an accepted seed
+    assert accepted == [True] * (seeded.count - 2)
+    scanned = _scan_only(monkeypatch, family)
+    _within_tol(seeded, scanned.zeros)
+
+
+def _reference_zeros(monkeypatch, family, count):
+    if family == "bessel":
+        return [mp.besseljzero(0, k) for k in range(1, count + 1)]
+    if family == "airy":
+        return [_scaled_airy_zero(k) for k in range(1, count + 1)]
+    return _scan_only(monkeypatch, family).zeros
+
+
+@pytest.mark.parametrize("skip", (1, 2), ids=("next-zero", "zero-after-next"))
+@pytest.mark.parametrize("family", sorted(SEEDED))
+def test_seed_landing_on_a_later_zero_is_rejected(monkeypatch, family, skip):
+    locate, args, seed, spaced, squared = SEEDED[family]
+    target = 5
+    with mp.workdps(50):
+        ref = _reference_zeros(monkeypatch, family, 12)
+    real_seed = getattr(oracle_module, seed)
+    real_spaced = getattr(oracle_module, spaced)
+    verdicts = {}
+
+    def landing(*a):
+        zs = a[-2]
+        if len(zs) + 1 != target:
+            return real_seed(*a)
+        # a narrow bracket about zero target + skip in the scan variable
+        z = ref[target - 1 + skip]
+        x = z * z if squared else z
+        return x * (1 - mp.mpf("1e-6")), x * (1 + mp.mpf("1e-6"))
+
+    def spy(*a):
+        verdicts[len(a[-2]) + 1] = real_spaced(*a)
+        return verdicts[len(a[-2]) + 1]
+
+    monkeypatch.setattr(oracle_module, seed, landing)
+    monkeypatch.setattr(oracle_module, spaced, spy)
+    zl = locate(*args)
+    if skip == 1:
+        # zero target + 1 sits where f has the other sign: the sign check fails
+        assert target not in verdicts
+    else:
+        # the ends carry the right signs, but the refined zero is spaced
+        # like zero target + 2
+        assert verdicts[target] is False
+    assert all(verdicts[k] for k in verdicts if k != target)
+    _within_tol(zl, ref)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    # the autouse ambient-precision fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    nu=st.fractions(min_value=0, max_value=5, max_denominator=12),
+    count=st.integers(min_value=1, max_value=12),
+    airy_count=st.integers(min_value=1, max_value=25),
+)
+def test_seeded_zeros_match_mpmath_references(nu, count, airy_count):
+    zl = bessel_zeros(nu, count, 30)
+    nuv = to_real(nu, 50)
+    with mp.workdps(50):
+        for k, z in enumerate(zl.zeros, 1):
+            assert abs(z - mp.besseljzero(nuv, k)) < zl.tol, (nu, k)
+    zl = airy_zeros(airy_count, 30)
+    for k, z in enumerate(zl.zeros, 1):
+        assert abs(z - _scaled_airy_zero(k)) < zl.tol, k
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_airy_zero(k):
+    with mp.workdps(50):
+        return mp.cbrt(3) * abs(mp.airyaizero(k))
 
 
 @settings(
@@ -240,7 +359,7 @@ def test_refine_lands_within_tol_of_the_bracketed_root(
         (bessel_zeros, (0, 64, 30), 10),
         (airy_zeros, (20, 30), 10),
         (qairy_zeros, (Fraction(14, 25), 25, 30), 10),
-        (qbessel_zeros, (1, Fraction(31, 50), 20, 30), 15),
+        (qbessel_zeros, (1, Fraction(31, 50), 20, 30), 10),
     ],
     ids=["bessel", "airy", "qairy", "qbessel"],
 )
@@ -259,6 +378,41 @@ def test_refiner_evaluations_per_zero(monkeypatch, locate, args, cap):
     monkeypatch.setattr(oracle_module, "_refine", counting)
     zl = locate(*args)
     assert len(evaluations) <= cap * zl.count
+
+
+@pytest.mark.parametrize(
+    "locate, args, cap",
+    [
+        (bessel_zeros, (0, 64, 30), 6),
+        (airy_zeros, (20, 30), 6),
+        (qairy_zeros, (Fraction(14, 25), 25, 30), 10),
+        (qairy_zeros, (Fraction(29, 50), 25, 30), 10),
+        (qbessel_zeros, (1, Fraction(31, 50), 20, 30), 10),
+        (qbessel_zeros, (1, Fraction(14, 25), 20, 30), 10),
+        (qbessel_zeros, (1, Fraction(29, 50), 20, 30), 10),
+    ],
+    ids=["bessel", "airy", "qairy-14/25", "qairy-29/50", "qbessel-31/50", "qbessel-14/25",
+         "qbessel-29/50"],
+)
+def test_evaluator_calls_per_zero(monkeypatch, locate, args, cap):
+    # bracket ends, scan steps, refiner steps and residuals alike
+    calls = []
+    for factory in ("_make_bessel_eval", "_make_airy_eval", "_make_qairy_eval",
+                    "_make_qbessel_eval"):
+        real = getattr(oracle_module, factory)
+
+        def counting(*params, _real=real):
+            f = _real(*params)
+
+            def counted(x):
+                calls.append(x)
+                return f(x)
+
+            return counted
+
+        monkeypatch.setattr(oracle_module, factory, counting)
+    zl = locate(*args)
+    assert len(calls) <= cap * zl.count
 
 
 @pytest.mark.parametrize("dps, tol", [(140, "1e-120"), (50, "1e-25")])

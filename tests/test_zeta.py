@@ -292,6 +292,34 @@ def test_every_character_kernel_path_rejects_impostor_tables():
             xi_zeros(2, 40, chi=fake)
 
 
+def test_theta_gate_passes_a_table_once_and_never_an_impostor(monkeypatch):
+    checks = []
+    real = zeta.theta_selfcheck
+
+    def spy(chi, x, prec):
+        checks.append(chi)
+        return real(chi, x, prec)
+
+    monkeypatch.setattr(zeta, "theta_selfcheck", spy)
+    monkeypatch.setattr(zeta, "_GATE_PASSED", set())
+    chi = kronecker_character(5)
+    fake = _Impostor()
+    assert (fake.modulus, fake.parity) == (chi.modulus, chi.parity)
+    first = phi_chi("0.5", chi, 40)
+    assert checks and all(c is chi for c in checks)
+    checks.clear()
+    assert phi_chi("0.5", chi, 40) == first
+    assert phi_chi("0.7", chi, 40, abs_tol="1e-40") > 0
+    assert not checks  # the passing verdict is reused
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            phi_chi("0.5", fake, 40)
+    assert checks.count(fake) == 3  # gated afresh on every call
+    checks.clear()
+    phi_chi("0.5", chi, 50)  # a new precision is gated again
+    assert checks
+
+
 @functools.lru_cache(maxsize=None)
 def _evaluator(d, points):
     chi = None if d is None else kronecker_character(d)
