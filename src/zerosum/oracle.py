@@ -18,11 +18,19 @@ and the refined zero passes the family's spacing check, which costs no
 evaluation.  Otherwise a forward scan (`_scan`) from the previous zero,
 stepped by the family's own rule, brackets the zero.
 
-Series evaluation near large zeros loses digits to alternating-series
-cancellation.  Each evaluator starts from a per-family loss estimate,
-measures the cancellation it actually met (largest term over result),
-and retries with more working digits until the surviving precision is
-certified, giving up only past a per-family budget cap.
+Every series the oracle evaluates is summed by one fixed-point term
+engine (`_fixed_pass`) on Python integers scaled by 2^wp, wp the
+working bits plus guard bits, the way mpmath sums its own elementary
+series (Brent and Zimmermann, Modern Computer Arithmetic, ch. 4).  Each
+family gives its term ratio as integer operations: exact ratios for
+Bessel, Airy and Hankel, running products of q^(2k+1) and q^(k+1) for
+the q-families.  Each pass also returns a bound on its own rounding
+error.  Series evaluation near large zeros loses digits to
+alternating-series cancellation.  Each evaluator starts from a
+per-family loss estimate, measures the cancellation it actually met
+(largest term over result), and retries with more working digits until
+both the cancellation and the rounding bound leave the surviving
+precision certified, giving up only past a per-family budget cap.
 
 The Bessel family is the exception at large z: there each value comes
 from Hankel's asymptotic expansion, whose remainder DLMF 10.17(iii)
@@ -35,10 +43,11 @@ so there it shares nothing with them but the function itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import (
     AccuracyError,
@@ -60,6 +69,7 @@ MODE_SQUARED = "squared"
 MODE_PLAIN = "plain"
 
 _LOG10E = 0.4342944819032518
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
@@ -133,23 +143,44 @@ class TruncatedPowerSum:
     family: str
 
 
+def _log10(x):
+    """log10 |x| of a nonzero finite mpf, in floating point."""
+    man, exp = x.man_exp
+    return math.log10(abs(man)) + exp * _LOG10_2
+
+
+def _digits(value, err):
+    """log10 (|value| / err): the digits of value that survive err."""
+    if value == 0 or err == mp.inf:
+        return -math.inf
+    if err == 0:
+        return math.inf
+    return _log10(value) - _log10(err)
+
+
 def _adaptive_eval(pass_fn, prec, guess_digits, cap_digits, label):
-    """Run a fixed-precision series pass with measured-cancellation retries."""
+    """Run a fixed-precision series pass with measured-cancellation retries.
+
+    pass_fn(dps) returns (total, maxmag, nterms, err).  The value is
+    certified once the cancellation it met (largest term over result)
+    leaves prec/2 + 8 of the dps working digits and its rounding bound
+    err leaves as many.
+    """
     dps = prec + 20 + max(0, int(guess_digits))
     cap = prec + 40 + max(0, int(cap_digits))
+    need = prec / 2 + 8
     if dps > cap:
         raise PrecisionExhaustedError(
             f"{label}: expected cancellation {int(guess_digits)} digits "
             f"exceeds the budget cap {cap}"
         )
     for _ in range(12):
-        total, maxmag, _ = pass_fn(dps)
+        total, maxmag, _, err = pass_fn(dps)
         if total == 0:
             lost = float(dps)
         else:
-            with mp.workdps(30):
-                lost = float(mp.log10(maxmag / abs(total))) if maxmag > 0 else 0.0
-        if dps - lost >= prec / 2 + 8:
+            lost = _log10(maxmag) - _log10(total) if maxmag > 0 else 0.0
+        if dps - lost >= need and _digits(total, err) >= need:
             return total
         dps = max(dps + 10, int(lost) + prec // 2 + 24)
         if dps > cap:
@@ -159,25 +190,136 @@ def _adaptive_eval(pass_fn, prec, guess_digits, cap_digits, label):
     raise PrecisionExhaustedError(f"{label}: evaluation did not stabilize")
 
 
-def _series_pass(dps, first, ratio_fn):
-    # sum t_0 + t_1 + ... with t_{k+1} = t_k * ratio_fn(k); stops once the
-    # terms have decayed below the working epsilon relative to the peak
-    with mp.workdps(dps):
-        eps = mpf(10) ** (-(dps - 2))
-        t = first()
-        total = t
-        maxmag = abs(t)
-        k = 0
-        while k < 1_000_000:
-            t = t * ratio_fn(k)
-            total += t
-            mag = abs(t)
-            if mag > maxmag:
-                maxmag = mag
-            if mag < eps * maxmag:
-                return +total, +maxmag, k
-            k += 1
-    raise AccuracyError("series pass exceeded the term cap")
+# The term engine.  Every oracle series is summed on Python ints scaled
+# by 2^wp, wp = the working bits of dps plus _GUARD_BITS: term k + 1 is
+# floor(t_k num_k 2^-shift / den_k), where each family gives its term
+# ratio as a generator of the integers num_k and den_k, a shift, and for
+# ratios built from rounded running products a bound on their drift.
+
+_GUARD_BITS = 32
+_TERM_CAP = 1_000_000
+
+
+def _wp(dps):
+    return libmp.dps_to_prec(dps) + _GUARD_BITS
+
+
+def _mpf(n, exp, bits, rnd=libmp.round_nearest):
+    """n * 2^exp rounded to `bits` bits."""
+    return mp.make_mpf(libmp.from_man_exp(n, exp, bits, rnd))
+
+
+def _parts(x):
+    """Exact signed (mantissa, exponent) of an mpf."""
+    man, exp = x.man_exp  # the mantissa of man_exp carries no sign
+    return (-man if x < 0 else man), exp
+
+
+def _shift(n, s):
+    # n * 2^s, floored when s < 0
+    return n << s if s >= 0 else n >> -s
+
+
+def _fixed_pass(wp, cut, head, ratios, shift=0, e0=0, drift=0):
+    """Sum head + t_1 + ... in fixed point, t_(k+1) = floor(t_k num_k 2^-shift / den_k).
+
+    Terms are integers in units of 2^-wp.  With `cut` = 10^(dps - 2) the
+    pass stops after the first term below 10^(2 - dps) times the largest
+    so far; with cut = 0 it sums every ratio `ratios` yields.  Returns
+    (total, maxmag, size, n, last, err): the sum, the largest term, the
+    sum of |terms|, the number of ratios applied, the last term, and a
+    bound on |total - exact sum of the same n + 1 terms| (None where the
+    bound does not apply), all in units of 2^-wp.
+
+    The bound assumes: the exact head lies within e0 of `head`; each
+    num_k 2^-shift / den_k differs from the exact ratio r_k by at most
+    (k + 2) drift 2^-wp (1 + |r_k|) (drift = 0 for exact ratios); and the
+    exact |r_k| exceed 1 only on a prefix of k, so the terms rise, then
+    fall.  Each floor errs by under one unit, and an error made at term m
+    reaches term k multiplied by |t_k / t_m| <= max(1, |t_k / t_0|); the
+    shift and the division make one floor, as den_k > 0.
+    Summing these (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3) gives, with S = size and T = |head| - e0,
+        err <= (e0 + n) S / T + n (n + 1)/2 + 4 drift n (n + 2) S / 2^wp,
+    once the coefficients of S add to at most 1/4; the factor 2 applied
+    below covers the difference between exact and computed terms in S.
+    """
+    t = total = head
+    maxmag = size = abs(head)
+    n = 0
+    small = None  # (maxmag - 1) // cut: terms up to this are below the cut
+    for num, den in ratios:
+        t = (t * num >> shift) // den
+        total += t
+        mag = t if t >= 0 else -t
+        size += mag
+        n += 1
+        if mag > maxmag:
+            maxmag, small = mag, None
+        elif cut:
+            if small is None:
+                small = (maxmag - 1) // cut
+            if mag <= small:
+                break
+    else:
+        if cut:
+            raise AccuracyError("series pass exceeded the term cap")
+    low = abs(head) - e0
+    if low <= 0:
+        err = 0 if head == 0 and e0 == 0 else None
+    elif 4 * ((e0 + n) << wp) + 16 * drift * n * (n + 2) * low > low << wp:
+        err = None
+    else:
+        err = 2 * (
+            -(-(e0 + n) * size // low)
+            + n * (n + 1) // 2
+            + (4 * drift * n * (n + 2) * size >> wp)
+            + 1
+        )
+    return total, maxmag, size, n, t, err
+
+
+def _series_result(wp, dps, total, maxmag, n, err, exp=0):
+    """The pass contract (total, maxmag, nterms, err) as mpf at dps digits.
+
+    Integers are in units of 2^(exp - wp); the rounding of total to dps
+    digits is added to err, which is rounded up.
+    """
+    bits = libmp.dps_to_prec(dps)
+    if err is None:
+        err_v = mp.inf
+    else:
+        err_v = _mpf(err + (abs(total) >> (bits - 1)) + 1, exp - wp, bits, libmp.round_ceiling)
+    return _mpf(total, exp - wp, bits), _mpf(maxmag, exp - wp, bits), n, err_v
+
+
+def _bessel_pass(nu, z, dps):
+    """Normalized Bessel Taylor series sum_k (-(z/2)^2)^k / (k! (nu+1)_k).
+
+    Its ratios -(z/2)^2 / (k (nu + k)) are exact: with nu = nun / 2^s
+    and z = zm 2^ze each is -zm^2 2^-shift / (k (nun + k 2^s)).
+    """
+    wp = _wp(dps)
+    nm, ne = _parts(nu)
+    s = max(0, -ne)
+    nun = nm << max(0, ne)
+    zm, ze = _parts(z)
+    num, shift = -zm * zm, 2 - 2 * ze - s
+    if shift < 0:
+        num, shift = num << -shift, 0
+    ratios = ((num, k * (nun + (k << s))) for k in range(1, _TERM_CAP))
+    total, maxmag, _, n, _, err = _fixed_pass(wp, 10 ** (dps - 2), 1 << wp, ratios, shift)
+    return _series_result(wp, dps, total, maxmag, n, err)
+
+
+def _bessel_series(nu, z, prec):
+    """Taylor series of the normalized Bessel function, cancellation-certified."""
+    zf = abs(float(z))
+    guess = 0.45 * zf + 6
+    cap = max(prec, 2 * zf * _LOG10E + prec / 2)
+    return _adaptive_eval(
+        lambda dps: _bessel_pass(nu, z, dps), prec, guess, cap, f"bessel(nu={float(nu)})"
+    )
 
 
 def _hankel_length(nu, zf, dps):
@@ -212,67 +354,72 @@ def _hankel_pass(nu, z, dps, length, scale):
 
     f(z) = Gamma(nu+1) (2/z)^nu J_nu(z) with
     J_nu(z) = sqrt(2/(pi z)) (P cos w - Q sin w), w = z - nu pi/2 - pi/4
-    (DLMF 10.17.3).  Returns (value, digits): digits is log10 of
-    |P cos w - Q sin w| over its error bound, which adds the first
-    neglected term of each sum (DLMF 10.17(iii), real nu, z > 0) to a
-    rounding bound at `dps` working digits.
+    (DLMF 10.17.3).  P and Q are summed by the term engine to `length`
+    terms each, over the exact ratio between Hankel's terms k and k + 2,
+    -(mu - (2k+1)^2)(mu - (2k+3)^2) / (64 (k+1)(k+2) z^2) with mu = 4 nu^2,
+    which carries their alternating signs.  Returns (value, digits):
+    digits is log10 of |P cos w - Q sin w| over its error bound, which
+    adds the first neglected term of each sum (DLMF 10.17(iii), real nu,
+    z > 0) and the engine's bounds on P and Q to a rounding bound at
+    `dps` working digits.
     """
+    bits = libmp.dps_to_prec(dps)
+    wp = bits + _GUARD_BITS
+    nm, ne = _parts(nu)
+    mu, s = nm * nm, -2 * ne - 2  # 4 nu^2 = mu / 2^s
+    if s < 0:
+        mu, s = mu << -s, 0
+    zm, ze = _parts(z)
+    zz, shift = zm * zm, 2 * s + 2 * ze + 6
+    up, shift = max(0, -shift), max(0, shift)
+    # Q's head (mu - 1) / (8 z) is q_num / (zm 2^(s + 3 + ze)), floored
+    q_num, sh = mu - (1 << s), wp - s - 3 - ze
+    q_head = (q_num << sh) // zm if sh >= 0 else q_num // (zm << -sh)
+    sums, size, tails, err = [], 0, 0, 0
+    for head, e0, k in ((1 << wp, 0, 0), (q_head, int(q_num != 0), 1)):
+        ratios = (
+            (-(mu - ((2 * j + 1) ** 2 << s)) * (mu - ((2 * j + 3) ** 2 << s)) << up,
+             (j + 1) * (j + 2) * zz)
+            for j in range(k, _TERM_CAP, 2)
+        )
+        total, _, part, _, last, bound = _fixed_pass(
+            wp, 0, head, itertools.islice(ratios, length - 1), shift, e0
+        )
+        if bound is None:
+            return mp.zero, -math.inf
+        num, den = next(ratios)
+        sums.append(_mpf(total, -wp, bits))
+        tails += abs((last * num >> shift) // den) + 2
+        size += part
+        err += bound
+    p, q = sums
     with mp.workdps(dps):
         zv = +z
-        mu = 4 * nu * nu
-        t = mp.one
-        p = q = size = mp.zero
-        for k in range(2 * length):
-            size += abs(t)
-            if k % 2 == 0:
-                p += -t if k % 4 == 2 else t
-            else:
-                q += -t if k % 4 == 3 else t
-            t = t * (mu - (2 * k + 1) ** 2) / (8 * (k + 1) * zv)
-        tail_p = abs(t)
-        tail_q = abs(t * (mu - (4 * length + 1) ** 2) / (8 * (2 * length + 1) * zv))
-        size += tail_p + tail_q
+        tail = _mpf(tails, -wp, bits, libmp.round_ceiling)
+        size_v = _mpf(size, -wp, bits) + tail
         w = zv - (nu / 2 + mpf(1) / 4) * mp.pi
         cos_w, sin_w = mp.cos_sin(w)
         combo = p * cos_w - q * sin_w
         eps = mpf(10) ** (2 - dps)
-        err = tail_p + tail_q + eps * (
-            (abs(w) + abs(nu) + 4) * (abs(p) + abs(q)) + 4 * (length + 1) * size
+        err = tail + _mpf(err, -wp, bits, libmp.round_ceiling) + eps * (
+            (abs(w) + abs(nu) + 4) * (abs(p) + abs(q)) + 4 * (length + 1) * size_v
         )
+        digits = _digits(combo, err)
         if combo == 0:
-            return combo, -math.inf
-        with mp.workdps(30):
-            digits = float(mp.log10(abs(combo) / err))
+            return combo, digits
         return scale(dps) * zv ** (-(nu + mpf(1) / 2)) * combo, digits
-
-
-def _bessel_series(nu, z, prec):
-    """Taylor series of the normalized Bessel function, cancellation-certified."""
-    zf = abs(float(z))
-    guess = 0.45 * zf + 6
-    cap = max(prec, 2 * zf * _LOG10E + prec / 2)
-
-    def pass_fn(dps):
-        with mp.workdps(dps):
-            nuv = to_real(nu, dps - 10)
-            zv = +z
-            x = (zv / 2) ** 2
-            return _series_pass(
-                dps, lambda: mp.one, lambda k: -x / ((k + 1) * (nuv + k + 1))
-            )
-
-    return _adaptive_eval(pass_fn, prec, guess, cap, f"bessel(nu={float(nu)})")
 
 
 def _make_bessel_eval(nu, prec):
     """Normalized Bessel series f(z) = Gamma(nu+1) (2/z)^nu J_nu(z).
 
     At each z > 0 Hankel's expansion is tried first.  It is used only when
-    its certified error (DLMF 10.17(iii) remainder plus rounding) leaves
-    the prec/2 + 8 surviving digits that `_adaptive_eval` demands of the
-    Taylor series, with up to three working-digit raises; otherwise the
-    call falls back to the Taylor series.  The switch is thus decided per
-    call; for orders that are not half odd integers it falls near
+    its certified error (DLMF 10.17(iii) remainder, the term engine's
+    bounds on P and Q, plus rounding) leaves the prec/2 + 8 surviving
+    digits that `_adaptive_eval` demands of the Taylor series, with up to
+    three working-digit raises; otherwise the call falls back to the
+    Taylor series, summed by the same engine.  The switch is thus decided
+    per call; for orders that are not half odd integers it falls near
     z = 1.1 (prec + 20), where the expansion's smallest term first drops
     below the working epsilon.  For half-odd-integer orders the expansion
     terminates (for nu = 1/2 it is sqrt(2/(pi z)) sin z), its remainder
@@ -306,87 +453,166 @@ def _make_bessel_eval(nu, prec):
     return evaluate
 
 
+def _airy_heads(wp):
+    """pi / (3 Gamma(2/3)) and pi / (9 Gamma(4/3)) in units of 2^-wp, each
+    within 2 units."""
+    with mp.workprec(wp + 20):
+        heads = (mp.pi / (3 * mp.gamma(mpf(2) / 3)), mp.pi / (9 * mp.gamma(mpf(4) / 3)))
+    return tuple(_shift(man, exp + wp) for man, exp in map(_parts, heads))
+
+
+def _airy_pass(z, dps, heads):
+    """f(z) = (pi/3^(1/3)) Ai(-z/3^(1/3)) = L1 + z L2 as two lanes.
+
+    L1 sums c1 (-z^3/9)^k / (k! prod_(j<=k) (3j - 1)) and L2 sums
+    c2 (-z^3/9)^k / (k! prod_(j<=k) (3j + 1)), with the heads c1, c2 that
+    heads(wp) gives (`_airy_heads`).  The lane ratios, -z^3 / (9 k (3k - 1))
+    and -z^3 / (9 k (3k + 1)), are exact; each lane stops by its own cut,
+    and z L2 is formed exactly on the integers.
+    """
+    wp = _wp(dps)
+    cut = 10 ** (dps - 2)
+    zm, ze = _parts(z)
+    num, shift = -zm**3, -3 * ze
+    if shift < 0:
+        num, shift = num << -shift, 0
+    lanes = []
+    for head, sign in zip(heads(wp), (-1, 1)):
+        # each lane's generator is used up before `sign` moves on
+        ratios = ((num, 9 * k * (3 * k + sign)) for k in range(1, _TERM_CAP))
+        lanes.append(_fixed_pass(wp, cut, head, ratios, shift, e0=2))
+    (s1, m1, _, n1, _, e1), (s2, m2, _, n2, _, e2) = lanes
+    up, down = max(ze, 0), max(-ze, 0)  # units of 2^(min(ze, 0) - wp)
+    total = (s1 << down) + (zm * s2 << up)
+    maxmag = max(m1 << down, abs(zm) * m2 << up)
+    err = None if e1 is None or e2 is None else (e1 << down) + (abs(zm) * e2 << up)
+    return _series_result(wp, dps, total, maxmag, n1 + n2, err, min(ze, 0))
+
+
 def _make_airy_eval(prec):
+    """Series of f(z) = (pi/3^(1/3)) Ai(-z/3^(1/3)).
+
+    The lane heads are computed once, 256 bits above the working
+    precision first asked for, and floored to each lower precision:
+    floor(floor(c 2^W) / 2^(W - wp)) = floor(c 2^wp).  They are computed
+    afresh only when a pass needs more bits.
+    """
+    top, top_heads = 0, ()
+
+    def heads(wp):
+        nonlocal top, top_heads
+        if wp > top:
+            top = wp + 256
+            top_heads = _airy_heads(top)
+        return tuple(h >> (top - wp) for h in top_heads)
+
     def evaluate(z):
         zf = abs(float(z))
         loss = 2 * (zf / 3) ** 1.5 * _LOG10E
         guess = loss + 6
         cap = 1.6 * loss + prec
-
-        def pass_fn(dps):
-            with mp.workdps(dps):
-                zv = +z
-                w = (zv / 3) ** 3
-                c1 = mp.pi / (3 * mp.gamma(mpf(2) / 3))
-                c2 = mp.pi * zv / (9 * mp.gamma(mpf(4) / 3))
-                eps = mpf(10) ** (-(dps - 2))
-                t1, t2 = c1, c2
-                total = t1 + t2
-                maxmag = max(abs(t1), abs(t2))
-                k = 0
-                while k < 1_000_000:
-                    t1 = t1 * (-w) / ((k + 1) * (k + mpf(2) / 3))
-                    t2 = t2 * (-w) / ((k + 1) * (k + mpf(4) / 3))
-                    total += t1 + t2
-                    mag = max(abs(t1), abs(t2))
-                    if mag > maxmag:
-                        maxmag = mag
-                    if mag < eps * maxmag:
-                        return +total, +maxmag, k
-                    k += 1
-                raise AccuracyError("series pass exceeded the term cap")
-
-        return _adaptive_eval(pass_fn, prec, guess, cap, "airy")
+        return _adaptive_eval(lambda dps: _airy_pass(z, dps, heads), prec, guess, cap, "airy")
 
     return evaluate
+
+
+def _qairy_pass(q, z, dps):
+    """q-Airy series sum_k (-z)^k q^(k^2) / (q; q)_k.
+
+    Its ratios -z q^(2k+1) / (1 - q^(k+1)) come from running products
+    of z q^(2k+1) and q^(k+1) in units of 2^-wp, each step floored, so
+    the k-th of each is within k + 1 units.  As 1 - q^(k+1) >= 1 - q,
+    the ratio errors are within (k + 1)(1 + |r_k|) 2^-wp / (1 - q).
+    """
+    wp = _wp(dps)
+    one = 1 << wp
+    qm, qe = _parts(q)  # 0 < q < 1, so qe < 0
+    zm, ze = _parts(z)
+    q1, q2 = _shift(qm, qe + wp), qm * qm
+
+    def ratios(zq, qk):
+        for _ in range(_TERM_CAP):
+            yield -zq, one - qk
+            zq = zq * q2 >> -2 * qe
+            qk = qk * qm >> -qe
+
+    drift = -(-one // (one - q1))
+    total, maxmag, _, n, _, err = _fixed_pass(
+        wp, 10 ** (dps - 2), one, ratios(_shift(zm * qm, ze + qe + wp), q1), drift=drift
+    )
+    return _series_result(wp, dps, total, maxmag, n, err)
 
 
 def _make_qairy_eval(q, prec):
+    lq = -math.log(float(to_real(q, 30)))
+
     def evaluate(z):
         zf = max(abs(float(z)), 1.0)
-        lq = -math.log(float(to_real(q, 30)))
         loss = _LOG10E * (math.log(zf) ** 2) / (4 * lq)
         guess = loss + 8
         cap = 3 * loss + prec + 40
-
-        def pass_fn(dps):
-            with mp.workdps(dps):
-                qv = to_real(q, dps - 10)
-                zv = +z
-                return _series_pass(
-                    dps,
-                    lambda: mp.one,
-                    lambda k: -zv * qv ** (2 * k + 1) / (1 - qv ** (k + 1)),
-                )
-
-        return _adaptive_eval(pass_fn, prec, guess, cap, f"qairy(q={q})")
+        return _adaptive_eval(
+            lambda dps: _qairy_pass(q, z, dps), prec, guess, cap, f"qairy(q={q})"
+        )
 
     return evaluate
 
 
+def _qbessel_pass(q, qn, x, dps):
+    """q-Bessel series in x = z^2 with qn = q^nu (to wp + 20 bits).
+
+    Its ratios -x q^nu q^(2k+1) / (4 (1 - q^(k+1)) (1 - q^(nu+k+1))) come
+    from running products of x q^nu q^(2k+1) / 4, q^(k+1) and
+    q^(nu+k+1) in units of 2^-wp, each step floored, so the k-th of each
+    is within k + 2 units.  As the denominator is at least
+    D_0 = (1 - q)(1 - q^(nu+1)), the ratio errors are within
+    2 (k + 2)(1 + |r_k|) 2^-wp / D_0, plus the relative error of qn.
+    """
+    wp = _wp(dps)
+    one = 1 << wp
+    qm, qe = _parts(q)
+    nm, ne = _parts(qn)
+    xm, xe = _parts(x)
+    q1, w1, q2 = _shift(qm, qe + wp), _shift(qm * nm, qe + ne + wp), qm * qm
+
+    def ratios(zq, qk, wk):
+        for _ in range(_TERM_CAP):
+            yield -zq << wp, (one - qk) * (one - wk)
+            zq = zq * q2 >> -2 * qe
+            qk = qk * qm >> -qe
+            wk = wk * qm >> -qe
+
+    drift = -(-2 * one * one // ((one - q1) * (one - w1))) + 1
+    zq = _shift(xm * qm * nm, xe + qe + ne - 2 + wp)
+    total, maxmag, _, n, _, err = _fixed_pass(
+        wp, 10 ** (dps - 2), one, ratios(zq, q1, w1), drift=drift
+    )
+    return _series_result(wp, dps, total, maxmag, n, err)
+
+
+def _q_power(q, nu, dps):
+    """q^nu to 20 bits past the engine's working bits at dps."""
+    with mp.workprec(_wp(dps) + 20):
+        return q**nu
+
+
 def _make_qbessel_eval(nu, q, prec):
+    """q-Bessel series in x; log q and q^nu (per working precision) are
+    computed once."""
     nuf = float(nu)
+    lqf = math.log(float(to_real(q, 30)))
+    powers = {}
 
     def evaluate(x):
-        lq = -math.log(float(to_real(q, 30)))
-        u = max(math.log(max(abs(float(x)), 1.0) / 4) + nuf * math.log(float(to_real(q, 30))), 0.0)
-        loss = _LOG10E * u * u / (4 * lq)
+        u = max(math.log(max(abs(float(x)), 1.0) / 4) + nuf * lqf, 0.0)
+        loss = _LOG10E * u * u / (4 * -lqf)
         guess = loss + 8
         cap = 3 * loss + prec + 40
 
         def pass_fn(dps):
-            with mp.workdps(dps):
-                qv = to_real(q, dps - 10)
-                nuv = to_real(nu, dps - 10)
-                xv = +x
-                qn = qv**nuv
-
-                def ratio(k):
-                    return -xv * qv ** (2 * k + 1) * qn / (
-                        4 * (1 - qv ** (k + 1)) * (1 - qv ** (k + 1) * qn)
-                    )
-
-                return _series_pass(dps, lambda: mp.one, ratio)
+            if dps not in powers:
+                powers[dps] = _q_power(q, nu, dps)
+            return _qbessel_pass(q, powers[dps], x, dps)
 
         return _adaptive_eval(pass_fn, prec, guess, cap, f"qbessel(nu={nuf},q={q})")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -180,6 +181,148 @@ def test_bessel_zeros_past_hankel_switch_match_mpmath(nu, count, series_calls):
     with mp.workdps(prec + 20):
         for k, z in enumerate(zl.zeros, 1):
             assert abs(z - mp.besseljzero(nuv, k)) < mp.mpf(10) ** (-(prec // 2)), k
+
+
+def _sum_from_scratch(first, ratio, count=None):
+    """first + t_1 + t_2 + ..., t_k = t_(k-1) ratio(k), at the ambient precision.
+
+    With `count` it sums exactly t_0 .. t_count; otherwise it stops once the
+    terms have fallen below the working epsilon of the largest one.
+    """
+    t = total = first
+    peak = abs(t)
+    for k in range(1, 100_000):
+        if count is not None and k > count:
+            return total
+        t *= ratio(k)
+        total += t
+        peak = max(peak, abs(t))
+        if count is None and abs(t) < mp.eps * peak:
+            return total
+    raise AssertionError("reference series did not converge")
+
+
+def _qairy_ratio(q, z):
+    return lambda k: -z * q ** (2 * k - 1) / (1 - q**k)
+
+
+def _qbessel_ratio(nu, q, x):
+    return lambda k: -x * q ** (nu + 2 * k - 1) / (4 * (1 - q**k) * (1 - q ** (nu + k)))
+
+
+def _peak_digits(ratio):
+    # log10 of the largest term over the first, in floating point
+    peak = mag = 0.0
+    with mp.workdps(20):
+        for k in range(1, 100_000):
+            step = float(mp.log10(abs(ratio(k))))
+            mag += step
+            peak = max(peak, mag)
+            if step < 0 and mag < peak - 40:
+                return peak
+    raise AssertionError("series terms did not decay")
+
+
+@pytest.mark.parametrize("prec", (30, 50))
+def test_airy_evaluator_matches_mpmath_out_to_the_count_cap(prec):
+    # f(z) = (pi/3^(1/3)) Ai(-z/3^(1/3)), from near the origin out to the
+    # zero at the count cap, where one value loses about 270 digits
+    f = oracle_module._make_airy_eval(prec)
+    last = _scaled_airy_zero(oracle_module.AIRY_COUNT_CAP)
+    points = [mp.mpf(z) for z in (0.5, 3.37, 7.25, 19.6, 31.0, 55.5, 87.3, 112.9, 131.1)]
+    for z in points + [last - mp.mpf("0.3"), last]:
+        got = f(z)
+        with mp.workdps(prec + 40):
+            want = mp.pi / mp.cbrt(3) * mp.airyai(-z / mp.cbrt(3))
+            assert abs(got - want) <= mp.mpf(10) ** (-(prec // 2)) * abs(want), z
+
+
+@pytest.mark.parametrize("prec", (30, 50))
+@pytest.mark.parametrize("q", (Fraction(1, 2), Fraction(9, 10)), ids=str)
+@pytest.mark.parametrize("family", ("qairy", "qbessel"))
+def test_q_evaluators_match_their_defining_series(family, q, prec):
+    # x = q^-j: the q-Airy zeros sit near q^-(2k - 1) and the q-Bessel
+    # x-zeros near q^-2k, so j = 2 Q_COUNT_CAP is the count cap's reach.
+    # At q = 1/2 the points stop at the 100th zero (x near 1e60): one
+    # value at the cap's reach (x near 1e120, 12000 digits of
+    # cancellation) takes 2-4 s.
+    qv = to_real(q, prec)
+    nu = mp.mpf(3) / 4
+    if family == "qairy":
+        f = oracle_module._make_qairy_eval(qv, prec)
+    else:
+        f = oracle_module._make_qbessel_eval(nu, qv, prec)
+    top = 2 * oracle_module.Q_COUNT_CAP if q > Fraction(1, 2) else oracle_module.Q_COUNT_CAP
+    for j in (0, 3, 17, 60, top // 2, top):
+        x = mp.mpf("1.37") * qv ** -j
+        got = f(x)
+        ratio = _qairy_ratio(qv, x) if family == "qairy" else _qbessel_ratio(nu, qv, x)
+        # prec + 40 digits beyond the series' own cancellation
+        lost = _peak_digits(ratio) - float(mp.log10(abs(got)))
+        with mp.workdps(prec + 40 + int(lost) + 1):
+            want = _sum_from_scratch(mp.one, ratio)
+            assert abs(got - want) <= mp.mpf(10) ** (-(prec // 2)) * abs(want), j
+
+
+def _recording(real, log):
+    def record(*args, **kwargs):
+        log.append(real(*args, **kwargs))
+        return log[-1]
+
+    return record
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    # the autouse ambient-precision fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    family=st.sampled_from(["bessel", "airy", "qairy", "qbessel"]),
+    nu=st.fractions(min_value=Fraction(-9, 10), max_value=12, max_denominator=12),
+    q=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(9, 10), max_denominator=50),
+    size=st.floats(min_value=-1, max_value=1),
+    negative=st.booleans(),
+    dps=st.integers(min_value=30, max_value=160),
+)
+def test_series_pass_stays_within_its_rounding_bound(family, nu, q, size, negative, dps):
+    # the engine sums on integers scaled by 2^wp; its reported bound must
+    # cover the distance to the same terms summed in mpf at dps + 40
+    nuv, qv = to_real(nu, dps + 40), to_real(q, dps + 40)
+    # |z| up to 63 for Bessel and Airy, |x| up to 1e14 for the q-families
+    z = mp.mpf(10) ** (size * (0.9 if family in ("bessel", "airy") else 7.5) + 0.9)
+    z = -z if negative else z
+    lanes = []
+    with mock.patch.object(
+        oracle_module, "_fixed_pass", _recording(oracle_module._fixed_pass, lanes)
+    ):
+        if family == "bessel":
+            total, maxmag, n, err = oracle_module._bessel_pass(nuv, z, dps)
+        elif family == "airy":
+            total, maxmag, n, err = oracle_module._airy_pass(z, dps, oracle_module._airy_heads)
+        elif family == "qairy":
+            total, maxmag, n, err = oracle_module._qairy_pass(qv, z, dps)
+        else:
+            qn = oracle_module._q_power(qv, nuv, dps)
+            total, maxmag, n, err = oracle_module._qbessel_pass(qv, qn, z, dps)
+    with mp.workdps(dps + 40):
+        if family == "bessel":
+            want = _sum_from_scratch(mp.one, lambda k: -(z / 2) ** 2 / (k * (nuv + k)), n)
+        elif family == "airy":
+            (_, _, _, n1, _, _), (_, _, _, n2, _, _) = lanes
+            c1 = mp.pi / (3 * mp.gamma(mp.mpf(2) / 3))
+            c2 = mp.pi / (9 * mp.gamma(mp.mpf(4) / 3))
+            want = _sum_from_scratch(c1, lambda k: -(z**3) / (9 * k * (3 * k - 1)), n1)
+            want += z * _sum_from_scratch(c2, lambda k: -(z**3) / (9 * k * (3 * k + 1)), n2)
+        elif family == "qairy":
+            want = _sum_from_scratch(mp.one, _qairy_ratio(qv, z), n)
+        else:
+            want = _sum_from_scratch(mp.one, _qbessel_ratio(nuv, qv, z), n)
+        assert abs(total - want) <= err
+        # and the bound costs none of the digits the cancellation check
+        # certifies, dps less log10(maxmag / |total|) where that is positive
+        assert err <= max(maxmag, abs(total)) * mp.mpf(10) ** -dps
 
 
 def test_bessel_zeros_through_stepping_fallback_match_mpmath(monkeypatch):
