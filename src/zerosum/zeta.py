@@ -19,6 +19,9 @@ within a few digits of its value, and one pass at fixed working digits
 meets the target.  A table that is not a real primitive character breaks
 the symmetry, so every kernel of a caller's character is gated by the
 theta self-check first.
+
+The theta series is summed on integers scaled to its first term
+(`_theta_sum`); every node's error bound includes the pass's rounding bound.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import (
     AccuracyError,
@@ -41,6 +44,8 @@ from .quadrature import panel_grid
 MOMENT_ORDER_CAP = 12
 
 _SERIES_TERM_CAP = 2_000_000
+
+_GUARD_BITS = 32
 
 # refinement budget of the quadrature: panels = 2, 4, 8, ... up to 2^10
 _MAX_DOUBLINGS = 10
@@ -73,68 +78,93 @@ def _kernel_shape(chi):
     return chi.modulus, 0.5 + chi.parity, 6.0
 
 
-def _theta_sum(base, coef, bound, stop_abs=None, eps_rel=None):
-    """Sum coef(n) * base^(n^2) over n >= 1 at the ambient precision.
+def _fix(s, *xs):
+    """floor(x_1 ... x_k 2^s) of positive mpfs, from their exact mantissas."""
+    man = 1
+    for x in xs:
+        m, e = x.man_exp
+        man, s = man * m, s + e
+    return man << s if s >= 0 else man >> -s
 
-    bound(n) >= |coef(n)|.  Once base^(2n+1) <= 1/2 the remaining tail is
-    below 32 bound(n) base^(n^2) (geometric continuation); the sum stops
-    when that is under stop_abs, or under eps_rel times the largest term
-    so far.  Returns (total, max_term_magnitude, terms_used).
+
+def _theta_sum(base, consts, coef, bound, dps, stop_abs=None):
+    """Sum coef(n, *consts) base^(n^2) over n >= 1 on fixed-point integers.
+
+    coef is linear in the positive consts, bound(n, *consts) >= |coef|,
+    and bound(n, 1, ..., 1) is at least the sum of coef's |coefficients|.
+    Terms are integers in units of 2^(e - wp): e is the binary exponent of
+    the first term's bound, bound(1) base, and wp the working bits of dps
+    plus guard bits, so a tiny kernel costs no bits.  Each const c enters
+    as floor(c base 2^(wp - e)), and base^(n^2 - 1) as the floored running
+    products E_(n+1) = E_n G_n, G_(n+1) = G_n base^2 in units of 2^-wp.
+    Once base^(2n+1) <= 1/2 the tail is below 32 bound(n) base^(n^2); the
+    sum stops when that is under stop_abs, or else under 10^(3 - dps)
+    times the largest term so far.
+
+    Each floor errs by under one unit, so G_n is within 2n and E_n within
+    n^2 units, and term n within bound(n) (n^2 + n) 2^-wp + bound(n, 1,
+    ...) + 2.  Returns (total, max_term_magnitude, terms_used, err) as
+    exact mpfs, err bounding the distance of total to the exact sum of the
+    same terms of base and consts.
     """
-    # base^(n^2) via E *= G, G = base^(2n+1)
-    e_pow = base
-    g_pow = base**3
-    b_sq = base * base
-    total = mp.zero
-    maxmag = mp.zero
+    wp = libmp.dps_to_prec(dps) + _GUARD_BITS
+    e = mp.mag(bound(1, *consts) * base)
+    ints = [_fix(wp - e, c, base) for c in consts]
+    e_pow, g_pow, b_sq = 1 << wp, _fix(wp, base, base, base), _fix(wp, base, base)
+    half = 1 << (wp - 1)
+    stop = None
+    if stop_abs is not None:  # clamped above every tail: no huge shift
+        stop = _fix(wp - e, stop_abs) if mp.mag(stop_abs) - e < wp else 1 << 2 * wp
+    cut = 10 ** (dps - 3)
+    total = maxmag = err = 0
     n = 1
     while n <= _SERIES_TERM_CAP:
-        term = coef(n) * e_pow
+        term = coef(n, *ints) * e_pow >> wp
         total += term
-        mag = abs(term)
-        if mag > maxmag:
-            maxmag = mag
-        if g_pow <= mpf(1) / 2:
-            tail = bound(n) * e_pow * 32
-            if stop_abs is not None and tail < stop_abs:
+        maxmag = max(maxmag, abs(term))
+        bnd = bound(n, *ints)
+        err += (bnd * (n * n + n) >> wp) + 2
+        if g_pow <= half:
+            tail = 32 * bnd * e_pow >> wp
+            if (tail < stop) if stop is not None else (tail * cut < maxmag):
                 break
-            if eps_rel is not None and maxmag > 0 and tail < eps_rel * maxmag:
-                break
-        e_pow *= g_pow
-        g_pow *= b_sq
+        e_pow = e_pow * g_pow >> wp
+        g_pow = g_pow * b_sq >> wp
         n += 1
     else:
         raise AccuracyError("theta series did not converge within the term cap")
-    return total, maxmag, n
+    err += n * bound(n, *[1] * len(ints))
+    total, maxmag, err = (mp.make_mpf(libmp.from_man_exp(v, e - wp)) for v in (total, maxmag, err))
+    return total, maxmag, n, err
 
 
-def _character_coef(chi, scale=1):
-    # theta coefficients scale * n^parity * chi(n)
-    return lambda n: scale * n**chi.parity * chi(n)
+def _character_coef(chi):
+    # theta coefficients a n^parity chi(n), bounded by a (n + 1)
+    return (lambda n, a: a * n**chi.parity * chi(n)), (lambda n, a: a * (n + 1))
 
 
-def _phi_pass(chi, t, dps, eps_rel=None, stop_abs=None):
+def _phi_pass(chi, t, dps, stop_abs=None):
     """One fixed-precision pass over the kernel series at the point -|t|.
 
-    Exactly one of eps_rel / stop_abs drives truncation.  Returns
-    (total, max_term_magnitude, terms_used).
+    stop_abs drives truncation, else the pass stops relative to its
+    largest term.  One exp(|t|/2) gives every power of e^|t| the
+    coefficients need.  Returns (total, max_term_magnitude, terms_used,
+    rounding error bound).
     """
     with mp.workdps(dps):
         tv = abs(to_real(t, max(dps - 15, 30)))
-        x = mp.exp(2 * tv)
+        h = mp.exp(tv / 2)
+        x = h**4
         if chi is None:
             base = mp.exp(-mp.pi * x)
-            c9 = 8 * mp.pi**2 * mp.exp(mpf(9) / 2 * tv)
-            c5 = 12 * mp.pi * mp.exp(mpf(5) / 2 * tv)
-            coef = lambda n: (c9 * n * n - c5) * n * n
-            bound = lambda n: (c9 * n * n + c5) * n * n
+            consts = (8 * mp.pi**2 * x * x * h, 12 * mp.pi * x * h)
+            coef = lambda n, a, b: (a * n * n - b) * n * n
+            bound = lambda n, a, b: (a * n * n + b) * n * n
         else:
             base = mp.exp(-mp.pi * x / chi.modulus)
-            pref = 4 * mp.exp((mpf(1) + 2 * chi.parity) / 2 * tv)
-            coef = _character_coef(chi, pref)
-            bound = lambda n: pref * (n + 1)
-        total, maxmag, nterms = _theta_sum(base, coef, bound, stop_abs, eps_rel)
-        return +total, +maxmag, nterms
+            consts = (4 * h ** (1 + 2 * chi.parity),)
+            coef, bound = _character_coef(chi)
+        return _theta_sum(base, consts, coef, bound, dps, stop_abs)
 
 
 def _phi_nodes(chi, ts, abs_tol):
@@ -156,9 +186,9 @@ def _phi_nodes(chi, ts, abs_tol):
         floor = tol / 4
     pairs = []
     for t in ts:
-        total, maxmag, nterms = _phi_pass(chi, t, dps, stop_abs=stop)
+        total, maxmag, nterms, err = _phi_pass(chi, t, dps, stop_abs=stop)
         with mp.workdps(30):
-            round_err = (nterms + 5) * maxmag * unit + floor
+            round_err = (nterms + 5) * maxmag * unit + floor + err
         if not round_err <= tol:
             raise AccuracyError("kernel value did not reach the absolute error target")
         pairs.append((total, round_err))
@@ -173,7 +203,7 @@ def _phi_with_error(chi, t, abs_tol):
 def _phi_relative(chi, t, prec):
     """Kernel value verified to `prec` significant digits."""
     dps = prec + 18
-    total, maxmag, nterms = _phi_pass(chi, t, dps, eps_rel=mpf(10) ** (-(dps - 3)))
+    total, maxmag, nterms, _ = _phi_pass(chi, t, dps)
     if total != 0:
         with mp.workdps(30):
             lost = float(mp.log10(maxmag / abs(total)))
@@ -228,11 +258,11 @@ def theta_selfcheck(chi, x, prec=DEFAULT_PREC):
         if not xv > 0:
             raise DomainError("theta self-check needs x > 0")
         eps = mpf(10) ** (-(prec + 20))
-        coef = _character_coef(chi)
+        coef, bound = _character_coef(chi)
 
         def half_sum(y):
             base = mp.exp(-mp.pi * y / chi.modulus)
-            return _theta_sum(base, coef, lambda n: n + 1, stop_abs=eps)[0]
+            return _theta_sum(base, (mp.one,), coef, bound, mp.dps, eps)[0]
 
         lhs = 2 * half_sum(xv)
         rhs = 2 * half_sum(1 / xv)

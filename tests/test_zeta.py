@@ -177,6 +177,88 @@ def test_kernels_match_printed_form_sums(t, d, prec):
     assert abs(phi_chi(t, chi, prec, abs_tol=abs_tol) - raw_chi) <= abs_tol
 
 
+def _raw_theta_kernel(chi, t):
+    # the series the package sums, at -|t|, one mp.exp per term at the
+    # ambient precision, until a term falls below its epsilon of the total
+    tv = abs(t)
+    x = mp.exp(2 * tv)
+    total = mp.zero
+    for n in range(1, 1000):
+        if chi is None:
+            sign = 1
+            weight = 8 * mp.pi**2 * n**4 * mp.exp(9 * tv / 2) - 12 * mp.pi * n**2 * mp.exp(5 * tv / 2)
+            term = weight * mp.exp(-mp.pi * n * n * x)
+        else:
+            sign = chi(n)
+            weight = 4 * n**chi.parity * mp.exp((1 + 2 * chi.parity) * tv / 2)
+            term = weight * mp.exp(-mp.pi * n * n * x / chi.modulus)
+        total += sign * term
+        if n > 2 and term < mp.eps * abs(total):
+            return total
+    raise AssertionError("raw theta sum did not settle")
+
+
+@pytest.mark.parametrize("d", [None, -3, -4, 5])
+def test_kernel_values_match_a_raw_theta_sum(d):
+    # both modes at the 40-digit table's nodes: t = 2 is below 1e-30, and
+    # at t_cutoff the kernel is below the table's whole error budget
+    prec = 40
+    chi = None if d is None else kronecker_character(d)
+    ev = XiEvaluator(chi=chi, prec=prec)
+    ts = [mp.mpf(t) for t in ("0", "0.5", "1", "1.5", "2")] + [ev.t_cutoff]
+    nodes = zeta._phi_nodes(chi, ts, ev._node_tol)
+    for t, (value, round_err) in zip(ts, nodes):
+        with mp.workdps(prec + 40):
+            want = _raw_theta_kernel(chi, t)
+        relative = phi_riemann(t, prec) if chi is None else phi_chi(t, chi, prec)
+        assert rel_err(relative, want) < mp.mpf(10) ** -prec, t
+        assert abs(value - want) <= round_err <= ev._node_tol, t
+        public = (
+            phi_riemann(t, prec, abs_tol=ev._node_tol)
+            if chi is None
+            else phi_chi(t, chi, prec, abs_tol=ev._node_tol)
+        )
+        assert public == value
+
+
+def _recording(real, log):
+    def record(*args):
+        log.append((args, real(*args)))
+        return log[-1][1]
+
+    return record
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    # the autouse 90-digit ambient fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    d=st.sampled_from([None, -3, -4, 5]),
+    u=st.floats(min_value=0, max_value=1),
+    relative=st.booleans(),
+    dps=st.integers(min_value=40, max_value=120),
+)
+def test_theta_pass_stays_within_its_rounding_bound(d, u, relative, dps):
+    # the pass sums on integers in units of 2^(e - wp); its reported bound
+    # must cover the distance to the same terms summed in mpf at dps + 40
+    chi = None if d is None else kronecker_character(d)
+    t_cut = zeta._solve_t_cutoff(*zeta._kernel_shape(chi), dps, zeta.MOMENT_ORDER_CAP)
+    # the stop threshold _phi_nodes sets for the tolerance 10^(20 - dps)
+    stop = None if relative else mp.mpf(10) ** (20 - dps) / 8
+    calls = []
+    with mock.patch.object(zeta, "_theta_sum", _recording(zeta._theta_sum, calls)):
+        total, maxmag, n, err = zeta._phi_pass(chi, u * t_cut, dps, stop)
+    ((base, consts, coef, *_), _), = calls
+    with mp.workdps(dps + 40):
+        want = mp.fsum(coef(k, *consts) * base ** (k * k) for k in range(1, n + 1))
+        assert abs(total - want) <= err
+        # so round_err, and the error bounds printed from it, keep their size
+        assert err <= maxmag * mp.mpf(10) ** (1 - dps)
+
+
 def test_riemann_moment_table(riemann_table):
     tab = riemann_table
     assert isinstance(tab, MomentTable)
@@ -440,9 +522,9 @@ def _phi_with_error_per_node(chi, t, abs_tol):
         tol = abs(to_real(abs_tol, 30))
         need = -mp.log10(tol)
     dps = int(need) + 20
-    total, maxmag, nterms = zeta._phi_pass(chi, t, dps, stop_abs=tol / 8)
+    total, maxmag, nterms, err = zeta._phi_pass(chi, t, dps, stop_abs=tol / 8)
     with mp.workdps(30):
-        round_err = (nterms + 5) * maxmag * mp.mpf(10) ** (1 - dps) + tol / 4
+        round_err = (nterms + 5) * maxmag * mp.mpf(10) ** (1 - dps) + tol / 4 + err
         return total, +round_err
 
 
