@@ -39,12 +39,17 @@ that bound plus rounding leaves the same surviving digits the series
 would have to certify.  Above that switch point the oracle no longer
 evaluates the Taylor series whose coefficients feed the Newton routes,
 so there it shares nothing with them but the function itself.
+
+Each family's count cap, lambda mode, tolerance kind and tail model sit
+in one record of `_FAMILIES`, keyed by `ZeroList.family`; the locators,
+`tail_estimate` and `truncated_power_sum` read them only from there.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from mpmath import libmp, mp, mpf
@@ -119,7 +124,10 @@ class ZeroList:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Estimated remainder of a power sum beyond the computed zeros."""
+    """Estimated remainder of a power sum beyond the computed zeros.
+
+    value is mp.inf where the summed power makes that remainder diverge.
+    """
 
     value: object
     bound_kind: str
@@ -831,12 +839,122 @@ def _ratio_spaced(q, tol, xs, x):
     return x / xs[-1] < min(xs[-1] / xs[-2] * (1 + 4 * tol), q**-6)
 
 
-def _check_count(count, cap, prec):
+# Tail models: each estimates sum_(k > K) z_k^-p beyond the K computed
+# zeros zs of zero_list for the power p actually summed, and returns
+# mp.inf where that sum diverges.
+
+
+def _gap_tail(zero_list, zs, p):
+    if len(zs) < 2:
+        raise DomainError("bessel tail needs at least two zeros")
+    if p <= 1:
+        return mp.inf
+    last = zs[-1]
+    g = min(mp.pi, last - zs[-2])
+    return last ** (1 - p) / (g * (p - 1))
+
+
+def _airy_tail(zero_list, zs, p):
+    # z_k ~ c k^(2/3), so the terms fall as k^(-2p/3)
+    if 2 * p <= 3:
+        return mp.inf
+    k = len(zs)
+    c = zs[-1] / mpf(k) ** (mpf(2) / 3)
+    return 3 * c ** (-p) * mpf(k) ** (-(2 * p - 3) / mpf(3)) / (2 * p - 3)
+
+
+def _ratio_tail(zero_list, zs, p):
+    if len(zs) < 3:
+        raise DomainError("geometric tail needs at least three zeros")
+    lam = zero_list.lambdas()
+    rho = lam[-1] / lam[-2]
+    drift = abs(rho / (lam[-2] / lam[-3]) - 1)
+    rho_adj = rho * (1 + 3 * drift)
+    if not rho_adj < 1:
+        raise AccuracyError("zero ratios have not entered the geometric regime")
+    e = mpf(p) / 2 if zero_list.lambda_mode == MODE_SQUARED else p  # z^-p = lam^e
+    return lam[-1] ** e * rho_adj**e / (1 - rho_adj**e)
+
+
+def _density_tail(zero_list, zs, p):
+    # ordinate density at height t is log(m t / 2 pi) / 2 pi
+    if p <= 1:
+        return mp.inf
+    last = zs[-1]
+    base = last ** (1 - p) / (2 * mp.pi)
+    value = base * (
+        mp.log(zero_list.modulus * last / (2 * mp.pi)) / (p - 1) + mpf(1) / (p - 1) ** 2
+    )
+    return value * mpf("1.15")
+
+
+# One record per ZeroList.family.  It holds no seed, spacing or scan rule:
+# those stay in the locators, where tests replace them by module name.
+_Family = namedtuple("_Family", "cap mode tol_kind tail bound_kind note")
+_FAMILIES = {
+    "bessel": _Family(
+        BESSEL_COUNT_CAP, MODE_SQUARED, "absolute", _gap_tail, "asymptotic-density",
+        "arithmetic gap model; gap floor from the final computed gap and pi "
+        "(monotone gap behavior)",
+    ),
+    "airy": _Family(
+        AIRY_COUNT_CAP, MODE_SQUARED, "absolute", _airy_tail, "asymptotic-density",
+        "two-thirds-power growth with empirical constant c = z_K / K^(2/3); the "
+        "constant grows with K, so the integral bound is conservative",
+    ),
+    "qairy": _Family(
+        Q_COUNT_CAP, MODE_PLAIN, "relative", _ratio_tail, "geometric-ratio",
+        "last reciprocal-zero ratio, inflated by 3x its final drift to cover "
+        "monotone convergence of the ratios",
+    ),
+    "xi": _Family(
+        XI_COUNT_CAP, MODE_SQUARED, "absolute", _density_tail, "asymptotic-density",
+        "critical-line density integral (smooth counting term with the "
+        "conductor), inflated 15% to cover ordinate fluctuations",
+    ),
+}
+_FAMILIES["qbessel"] = _FAMILIES["qairy"]._replace(mode=MODE_SQUARED)
+_FAMILIES["xi-dirichlet"] = _FAMILIES["xi"]
+
+
+def _check_count(count, family, prec):
     check_precision(prec)
     if not isinstance(count, int) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
+    cap = _FAMILIES[family].cap
     if count > cap:
         raise LimitExceededError(f"count {count} exceeds the cap {cap}")
+
+
+def _zero_list(family, zeros, residuals, prec, tol, note="", modulus=1):
+    spec = _FAMILIES[family]
+    return ZeroList(
+        zeros=tuple(zeros), residuals=tuple(residuals), family=family,
+        lambda_mode=spec.mode, precision=prec, tol=+tol, tol_kind=spec.tol_kind,
+        modulus=modulus, note=note,
+    )
+
+
+def _q_values(q, nu, prec):
+    """q and nu (None for q-Airy) as reals, with 0 < q <= 0.9 and nu > -1."""
+    qv = to_real(q, prec)
+    nuv = None if nu is None else to_real(nu, prec)
+    if not 0 < qv <= mpf("0.9"):
+        raise DomainError(f"q must satisfy 0 < q <= 0.9, got {q}")
+    if nu is not None and not nuv > -1:
+        raise DomainError(f"q-Bessel order must satisfy nu > -1, got {nu}")
+    return qv, nuv
+
+
+def _ratio_locate(f, count, q, tol, start, ratio, label):
+    """`_locate` under the q-families' rules: ratio-law seeds and spacing
+    checks, relative width goals, and a scan multiplying by `ratio`."""
+    return _locate(
+        f, count, tol, start, lambda x, _: x * ratio, 12 * count + 240, label,
+        seed=lambda zs: _ratio_seed(q, zs, tol),
+        spaced=lambda zs, z: _ratio_spaced(q, tol, zs, z),
+        relative=True,
+    )
 
 
 def bessel_zeros(nu, count, prec=DEFAULT_PREC):
@@ -857,7 +975,7 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
     series that feeds the Newton routes is not evaluated at all.
     Residuals are |f| at each reported zero on either side.
     """
-    _check_count(count, BESSEL_COUNT_CAP, prec)
+    _check_count(count, "bessel", prec)
     with working(prec, 15):
         nuv = to_real(nu, prec)
         if not nuv > -1:
@@ -871,16 +989,7 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
             seed=lambda zs: _bessel_seed(nuv, zs, xtol),
             spaced=_bessel_spaced,
         )
-        return ZeroList(
-            zeros=tuple(zeros),
-            residuals=tuple(residuals),
-            family="bessel",
-            lambda_mode=MODE_SQUARED,
-            precision=prec,
-            tol=+xtol,
-            tol_kind="absolute",
-            note=f"nu = {nu}",
-        )
+        return _zero_list("bessel", zeros, residuals, prec, xtol, f"nu = {nu}")
 
 
 def airy_zeros(count, prec=DEFAULT_PREC):
@@ -894,7 +1003,7 @@ def airy_zeros(count, prec=DEFAULT_PREC):
     skipped) brackets it.  Bracketed refinement narrows each zero to
     10^(-prec/2).
     """
-    _check_count(count, AIRY_COUNT_CAP, prec)
+    _check_count(count, "airy", prec)
     with working(prec, 15):
         f = _make_airy_eval(prec)
         xtol = mpf(10) ** (-(prec // 2))
@@ -909,15 +1018,7 @@ def airy_zeros(count, prec=DEFAULT_PREC):
             seed=lambda zs: _airy_seed(zs, xtol),
             spaced=_airy_spaced,
         )
-        return ZeroList(
-            zeros=tuple(zeros),
-            residuals=tuple(residuals),
-            family="airy",
-            lambda_mode=MODE_SQUARED,
-            precision=prec,
-            tol=+xtol,
-            tol_kind="absolute",
-        )
+        return _zero_list("airy", zeros, residuals, prec, xtol)
 
 
 def qairy_zeros(q, count, prec=DEFAULT_PREC):
@@ -932,33 +1033,17 @@ def qairy_zeros(q, count, prec=DEFAULT_PREC):
     10^(-prec/2) relative, which is what the downstream reciprocal sums
     consume.
     """
-    _check_count(count, Q_COUNT_CAP, prec)
+    _check_count(count, "qairy", prec)
     with working(prec, 15):
-        qv = to_real(q, prec)
-        if not 0 < qv <= mpf("0.9"):
-            raise DomainError(f"q must satisfy 0 < q <= 0.9, got {q}")
+        qv, _ = _q_values(q, None, prec)
         f = _make_qairy_eval(qv, prec)
         rtol = mpf(10) ** (-(prec // 2))
         # first zero is at least (1-q)/q (reciprocal of the first sum)
         start = mpf(2) / 5 * (1 - qv) / qv
-        ratio = mp.sqrt(1 / qv)
-        zeros, residuals = _locate(
-            f, count, rtol, start, lambda x, _: x * ratio, 12 * count + 240,
-            f"qairy(q={q})",
-            seed=lambda zs: _ratio_seed(qv, zs, rtol),
-            spaced=lambda zs, z: _ratio_spaced(qv, rtol, zs, z),
-            relative=True,
+        zeros, residuals = _ratio_locate(
+            f, count, qv, rtol, start, mp.sqrt(1 / qv), f"qairy(q={q})"
         )
-        return ZeroList(
-            zeros=tuple(zeros),
-            residuals=tuple(residuals),
-            family="qairy",
-            lambda_mode=MODE_PLAIN,
-            precision=prec,
-            tol=+rtol,
-            tol_kind="relative",
-            note=f"q = {q}",
-        )
+        return _zero_list("qairy", zeros, residuals, prec, rtol, f"q = {q}")
 
 
 def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
@@ -970,36 +1055,19 @@ def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
     seeded and checked as in `qairy_zeros`, and otherwise a scan with
     ratio 1/q brackets it.
     """
-    _check_count(count, Q_COUNT_CAP, prec)
+    _check_count(count, "qbessel", prec)
     with working(prec, 15):
-        qv = to_real(q, prec)
-        nuv = to_real(nu, prec)
-        if not 0 < qv <= mpf("0.9"):
-            raise DomainError(f"q must satisfy 0 < q <= 0.9, got {q}")
-        if not nuv > -1:
-            raise DomainError(f"q-Bessel order must satisfy nu > -1, got {nu}")
+        qv, nuv = _q_values(q, nu, prec)
         f = _make_qbessel_eval(nuv, qv, prec)
         rtol = mpf(10) ** (-(prec // 2))
         sigma1 = qv ** (nuv + 1) / (4 * (1 - qv) * (1 - qv ** (nuv + 1)))
         start = mpf(2) / 5 / sigma1
-        ratio = 1 / qv
-        xs, residuals = _locate(
-            f, count, rtol, start, lambda x, _: x * ratio, 12 * count + 240,
-            f"qbessel(nu={nu},q={q})",
-            seed=lambda zs: _ratio_seed(qv, zs, rtol),
-            spaced=lambda zs, z: _ratio_spaced(qv, rtol, zs, z),
-            relative=True,
+        xs, residuals = _ratio_locate(
+            f, count, qv, rtol, start, 1 / qv, f"qbessel(nu={nu},q={q})"
         )
-        zeros = [mp.sqrt(x) for x in xs]
-        return ZeroList(
-            zeros=tuple(zeros),
-            residuals=tuple(residuals),
-            family="qbessel",
-            lambda_mode=MODE_SQUARED,
-            precision=prec,
-            tol=+rtol,
-            tol_kind="relative",
-            note=f"nu = {nu}, q = {q}; residuals taken on the x = z^2 series",
+        return _zero_list(
+            "qbessel", [mp.sqrt(x) for x in xs], residuals, prec, rtol,
+            f"nu = {nu}, q = {q}; residuals taken on the x = z^2 series",
         )
 
 
@@ -1033,7 +1101,8 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
     reported.  For a Dirichlet kernel (chi set) the scan starts near 0
     and no counting cross-check is available.
     """
-    _check_count(count, XI_COUNT_CAP, prec)
+    family = "xi" if chi is None else "xi-dirichlet"
+    _check_count(count, family, prec)
     ev = XiEvaluator(chi=chi, prec=prec, points=48)
     with working(prec, 15):
         if chi is None:
@@ -1071,16 +1140,9 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
             raise ScanExhaustedError(
                 f"located {len(zeros)} of {count} ordinates below {t_end:.1f}"
             )
-        return ZeroList(
-            zeros=tuple(zeros),
-            residuals=tuple(residuals),
-            family="xi" if chi is None else "xi-dirichlet",
-            lambda_mode=MODE_SQUARED,
-            precision=prec,
-            tol=+xtol,
-            tol_kind="absolute",
-            modulus=1 if chi is None else chi.modulus,
-            note=f"transform error bound {mp.nstr(bulk_err, 3)}",
+        return _zero_list(
+            family, zeros, residuals, prec, xtol,
+            f"transform error bound {mp.nstr(bulk_err, 3)}", 1 if chi is None else chi.modulus,
         )
 
 
@@ -1089,71 +1151,21 @@ def tail_estimate(zero_list, n, prec=DEFAULT_PREC):
     check_precision(prec)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"order must be a positive integer, got {n!r}")
-    fam = zero_list.family
+    return _tail(zero_list, 2 * n if zero_list.lambda_mode == MODE_SQUARED else n, prec)
+
+
+def _tail(zero_list, power, prec):
+    """The family's tail model for the sum of zero^-power."""
     with working(prec, 15):
         zs = [to_real(z, prec) for z in zero_list.zeros]
-        last = zs[-1]
-        if fam == "bessel":
-            if len(zs) < 2:
-                raise DomainError("bessel tail needs at least two zeros")
-            g = min(mp.pi, last - zs[-2])
-            value = last ** (1 - 2 * n) / (g * (2 * n - 1))
-            return TailEstimate(
-                value=+value,
-                bound_kind="asymptotic-density",
-                confidence_note=(
-                    "arithmetic gap model; gap floor from the final computed "
-                    "gap and pi (monotone gap behavior)"
-                ),
-            )
-        if fam == "airy":
-            k = len(zs)
-            c = last / mpf(k) ** (mpf(2) / 3)
-            value = 3 * c ** (-2 * n) * mpf(k) ** (-(4 * n - 3) / mpf(3)) / (4 * n - 3)
-            return TailEstimate(
-                value=+value,
-                bound_kind="asymptotic-density",
-                confidence_note=(
-                    "two-thirds-power growth with empirical constant "
-                    "c = z_K / K^(2/3); the constant grows with K, so the "
-                    "integral bound is conservative"
-                ),
-            )
-        if fam in ("qairy", "qbessel"):
-            if len(zs) < 3:
-                raise DomainError("geometric tail needs at least three zeros")
-            lam = zero_list.lambdas()
-            rho = lam[-1] / lam[-2]
-            drift = abs(rho / (lam[-2] / lam[-3]) - 1)
-            rho_adj = rho * (1 + 3 * drift)
-            if not rho_adj < 1:
-                raise AccuracyError("zero ratios have not entered the geometric regime")
-            value = lam[-1] ** n * rho_adj**n / (1 - rho_adj**n)
-            return TailEstimate(
-                value=+value,
-                bound_kind="geometric-ratio",
-                confidence_note=(
-                    "last reciprocal-zero ratio, inflated by 3x its final "
-                    "drift to cover monotone convergence of the ratios"
-                ),
-            )
-        if fam in ("xi", "xi-dirichlet"):
-            # ordinate density at height t is log(m t / 2 pi) / 2 pi
-            base = last ** (1 - 2 * n) / (2 * mp.pi)
-            value = base * (
-                mp.log(zero_list.modulus * last / (2 * mp.pi)) / (2 * n - 1)
-                + mpf(1) / (2 * n - 1) ** 2
-            )
-            value *= mpf("1.15")
-            return TailEstimate(
-                value=+value,
-                bound_kind="asymptotic-density",
-                confidence_note=(
-                    "critical-line density integral (smooth counting term with "
-                    "the conductor), inflated 15% to cover ordinate fluctuations"
-                ),
-            )
-    raise DomainError(f"no tail model for family {fam!r}")
+        spec = _FAMILIES.get(zero_list.family)
+        if spec is None:
+            raise DomainError(f"no tail model for family {zero_list.family!r}")
+        return TailEstimate(
+            value=+spec.tail(zero_list, zs, power),
+            bound_kind=spec.bound_kind,
+            confidence_note=spec.note,
+        )
 
 
 def truncated_power_sum(zero_list, n, exponent_mode=None, prec=DEFAULT_PREC, tail=None):
@@ -1167,7 +1179,10 @@ def truncated_power_sum(zero_list, n, exponent_mode=None, prec=DEFAULT_PREC, tai
     not the tail, limits the bracket.  The true sum is expected to lie
     in [estimate - error_bound, estimate + error_bound], and because
     truncation always undershoots, in practice in
-    [estimate, estimate + error_bound].
+    [estimate, estimate + error_bound].  The tail is the family's model
+    for the power actually summed, also under an exponent_mode other
+    than the list's own; where that sum diverges (1/zero summed plain
+    for Bessel, Airy and xi) the tail and error_bound are mp.inf.
     """
     check_precision(prec)
     if not isinstance(n, int) or n < 1:
@@ -1176,10 +1191,10 @@ def truncated_power_sum(zero_list, n, exponent_mode=None, prec=DEFAULT_PREC, tai
         exponent_mode = zero_list.lambda_mode
     if exponent_mode not in (MODE_SQUARED, MODE_PLAIN):
         raise DomainError(f"unknown exponent mode {exponent_mode!r}")
+    power = 2 * n if exponent_mode == MODE_SQUARED else n
     if tail is None:
-        tail = tail_estimate(zero_list, n, prec)
+        tail = _tail(zero_list, power, prec)
     with working(prec, 15):
-        power = 2 * n if exponent_mode == MODE_SQUARED else n
         acc = mp.zero
         location = mp.zero
         for z in reversed(zero_list.zeros):

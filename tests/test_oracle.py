@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -119,13 +121,38 @@ def test_bessel_zero_interlacing():
         assert z0[k] < z1[k] < z0[k + 1]
 
 
-def test_bessel_count_and_order_validation():
-    with pytest.raises(DomainError):
-        bessel_zeros(0, 0, 50)
-    with pytest.raises(LimitExceededError):
-        bessel_zeros(0, 501, 50)
-    with pytest.raises(DomainError):
-        bessel_zeros(-1, 3, 50)
+COUNT_0 = (DomainError, "count must be a positive integer, got 0")
+Q_RANGE = "q must satisfy 0 < q <= 0.9, got "
+
+
+@pytest.mark.parametrize(
+    "locate, args, error, message",
+    [
+        (bessel_zeros, (0, 0, 50), *COUNT_0),
+        (bessel_zeros, (0, 501, 50), LimitExceededError, "count 501 exceeds the cap 500"),
+        (bessel_zeros, (-1, 3, 50), DomainError, "Bessel order must satisfy nu > -1, got -1"),
+        (airy_zeros, (0, 50), *COUNT_0),
+        (airy_zeros, (201, 50), LimitExceededError, "count 201 exceeds the cap 200"),
+        (qairy_zeros, ("0.5", 0, 50), *COUNT_0),
+        (qairy_zeros, ("0.5", 201, 50), LimitExceededError, "count 201 exceeds the cap 200"),
+        (qairy_zeros, ("0", 3, 50), DomainError, Q_RANGE + "0"),
+        (qairy_zeros, ("0.95", 3, 50), DomainError, Q_RANGE + "0.95"),
+        (qbessel_zeros, (0, "0.5", 0, 50), *COUNT_0),
+        (qbessel_zeros, (0, "0.5", 201, 50), LimitExceededError, "count 201 exceeds the cap 200"),
+        (qbessel_zeros, (0, "0", 3, 50), DomainError, Q_RANGE + "0"),
+        (qbessel_zeros, (0, "0.95", 3, 50), DomainError, Q_RANGE + "0.95"),
+        (qbessel_zeros, (-1, "0.5", 3, 50), DomainError,
+         "q-Bessel order must satisfy nu > -1, got -1"),
+        (xi_zeros, (0, 50), *COUNT_0),
+        (xi_zeros, (51, 50), LimitExceededError, "count 51 exceeds the cap 50"),
+        (xi_zeros, (51, 50, kronecker_character(-3)), LimitExceededError,
+         "count 51 exceeds the cap 50"),
+    ],
+)
+def test_bessel_count_and_order_validation(locate, args, error, message):
+    # every locator reads its cap from its own family's record
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        locate(*args)
 
 
 @pytest.fixture
@@ -685,12 +712,35 @@ def test_truncated_sum_arithmetic_against_direct_sum(bessel0):
     assert rel_err(tps.error_bound, tail.value + 2 * location) < mp.mpf("1e-30")
 
 
-def test_truncated_sum_exponent_mode_override(bessel0):
-    plain = truncated_power_sum(bessel0, 1, exponent_mode=MODE_PLAIN, prec=50)
+@pytest.mark.parametrize(
+    "locate, args, n, mode, closed",
+    [
+        (bessel_zeros, (0, 40, 50), 1, MODE_PLAIN, None),
+        (bessel_zeros, (0, 40, 50), 2, MODE_PLAIN, lambda: mp.mpf(1) / 4),
+        (qairy_zeros, ("0.5", 12, 30), 1, MODE_SQUARED, lambda: qairy_s_closed("0.5", 2)),
+        (qbessel_zeros, (0, "0.5", 12, 30), 2, MODE_PLAIN,
+         lambda: qbessel_s_closed(QBesselParams(nu=0, q="0.5"), 1)),
+    ],
+    ids=["bessel-plain-1", "bessel-plain-2", "qairy-squared-1", "qbessel-plain-2"],
+)
+def test_truncated_sum_exponent_mode_override(locate, args, n, mode, closed):
+    # the tail is the one of the power actually summed, not of the list's mode
+    zl = locate(*args)
+    prec = zl.precision
+    power = 2 * n if mode == MODE_SQUARED else n
+    tps = truncated_power_sum(zl, n, exponent_mode=mode, prec=prec)
     want = mp.zero
-    for z in reversed(bessel0.zeros):
-        want += 1 / to_real(z, 50)
-    assert rel_err(plain.estimate, want) < mp.mpf("1e-40")
+    for z in reversed(zl.zeros):
+        want += 1 / to_real(z, prec) ** power
+    assert rel_err(tps.estimate, want) < mp.mpf(10) ** (10 - prec)
+    if closed is None:
+        # the sum of 1/j_(0,k) diverges
+        assert tps.error_bound == mp.inf
+        return
+    assert tps.estimate - tps.error_bound < closed() < tps.estimate + tps.error_bound
+    if zl.tol_kind == "relative":
+        # a geometric tail lies below the last term it follows
+        assert tps.tail.value < 1 / zl.zeros[-1] ** power
 
 
 def test_truncated_sum_brackets_qairy_closed_forms(qairy_half):
@@ -731,6 +781,18 @@ def test_tail_estimate_kinds_and_decay(bessel0, qairy_half):
     assert g1.confidence_note
     with pytest.raises(DomainError):
         tail_estimate(bessel0, 0, 50)
+    unknown = ZeroList(zeros=(1, 2), residuals=(0, 0), family="x", lambda_mode=MODE_PLAIN,
+                       precision=50)
+    with pytest.raises(DomainError, match="^no tail model for family 'x'$"):
+        tail_estimate(unknown, 1, 50)
+    one = dataclasses.replace(bessel0, zeros=bessel0.zeros[:1], residuals=bessel0.residuals[:1])
+    with pytest.raises(DomainError, match="^bessel tail needs at least two zeros$"):
+        tail_estimate(one, 1, 50)
+    two = dataclasses.replace(
+        qairy_half, zeros=qairy_half.zeros[:2], residuals=qairy_half.residuals[:2]
+    )
+    with pytest.raises(DomainError, match="^geometric tail needs at least three zeros$"):
+        tail_estimate(two, 1, 50)
 
 
 def test_xi_zeros_match_zetazero_ordinates():
