@@ -127,11 +127,13 @@ class TailEstimate:
     """Estimated remainder of a power sum beyond the computed zeros.
 
     value is mp.inf where the summed power makes that remainder diverge.
+    power is the p of the sum of zero^-p that the remainder belongs to.
     """
 
     value: object
     bound_kind: str
     confidence_note: str
+    power: int
 
     def __post_init__(self):
         if self.bound_kind not in ("asymptotic-density", "geometric-ratio"):
@@ -1165,6 +1167,7 @@ def _tail(zero_list, power, prec):
             value=+spec.tail(zero_list, zs, power),
             bound_kind=spec.bound_kind,
             confidence_note=spec.note,
+            power=power,
         )
 
 
@@ -1182,7 +1185,9 @@ def truncated_power_sum(zero_list, n, exponent_mode=None, prec=DEFAULT_PREC, tai
     [estimate, estimate + error_bound].  The tail is the family's model
     for the power actually summed, also under an exponent_mode other
     than the list's own; where that sum diverges (1/zero summed plain
-    for Bessel, Airy and xi) the tail and error_bound are mp.inf.
+    for Bessel, Airy and xi) the tail and error_bound are mp.inf.  A
+    tail passed in must have been taken for that power, or DomainError
+    is raised.
     """
     check_precision(prec)
     if not isinstance(n, int) or n < 1:
@@ -1194,6 +1199,10 @@ def truncated_power_sum(zero_list, n, exponent_mode=None, prec=DEFAULT_PREC, tai
     power = 2 * n if exponent_mode == MODE_SQUARED else n
     if tail is None:
         tail = _tail(zero_list, power, prec)
+    elif tail.power != power:
+        raise DomainError(
+            f"tail was taken for the sum of zero^-{tail.power}, not of zero^-{power}"
+        )
     with working(prec, 15):
         acc = mp.zero
         location = mp.zero

@@ -22,14 +22,23 @@ theta self-check first.
 
 The theta series is summed on integers scaled to its first term
 (`_theta_sum`); every node's error bound includes the pass's rounding bound.
+Node set-up, moment pass and transform sweep run on mpmath's raw libmp
+values and exact integers, each step rounded as its mpf expression would
+be, so every result is bit-identical to the plain mpf arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from mpmath import libmp, mp, mpf
+from mpmath.libmp import (
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_le,
+    mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sub,
+    round_nearest as _RND,
+)
 
 from .errors import (
     AccuracyError,
@@ -79,22 +88,30 @@ def _kernel_shape(chi):
 
 
 def _fix(s, *xs):
-    """floor(x_1 ... x_k 2^s) of positive mpfs, from their exact mantissas."""
+    """floor(x_1 ... x_k 2^s) of positive raw mpfs, from their exact mantissas."""
     man = 1
-    for x in xs:
-        m, e = x.man_exp
+    for _, m, e, _ in xs:
         man, s = man * m, s + e
     return man << s if s >= 0 else man >> -s
+
+
+def _fixed_row(xs):
+    # raw mpfs as exact integers times 2^exp, and their nonzero exponents' span
+    exps = [x[2] for x in xs if x[1]]
+    lo = min(exps, default=0)
+    ints = [(-m if sign else m) << (e - lo) if m else 0 for sign, m, e, _ in xs]
+    return ints, lo, max(exps, default=lo) - lo
 
 
 def _theta_sum(base, consts, coef, bound, dps, stop_abs=None):
     """Sum coef(n, *consts) base^(n^2) over n >= 1 on fixed-point integers.
 
-    coef is linear in the positive consts, bound(n, *consts) >= |coef|,
-    and bound(n, 1, ..., 1) is at least the sum of coef's |coefficients|.
-    Terms are integers in units of 2^(e - wp): e is the binary exponent of
-    the first term's bound, bound(1) base, and wp the working bits of dps
-    plus guard bits, so a tiny kernel costs no bits.  Each const c enters
+    base, consts and stop_abs are raw mpfs.  coef is linear in the positive
+    consts, bound(n, *consts) >= |coef|, and bound(n, 1, ..., 1) is at
+    least the sum of coef's |coefficients|.  Terms are integers in units of
+    2^(e - wp): e is the binary exponent of the first term's bound,
+    bound(1) base, rounded const by const as in mpf at dps digits, and wp
+    the working bits of dps plus guard bits.  Each const c enters
     as floor(c base 2^(wp - e)), and base^(n^2 - 1) as the floored running
     products E_(n+1) = E_n G_n, G_(n+1) = G_n base^2 in units of 2^-wp.
     Once base^(2n+1) <= 1/2 the tail is below 32 bound(n) base^(n^2); the
@@ -103,18 +120,24 @@ def _theta_sum(base, consts, coef, bound, dps, stop_abs=None):
 
     Each floor errs by under one unit, so G_n is within 2n and E_n within
     n^2 units, and term n within bound(n) (n^2 + n) 2^-wp + bound(n, 1,
-    ...) + 2.  Returns (total, max_term_magnitude, terms_used, err) as
-    exact mpfs, err bounding the distance of total to the exact sum of the
-    same terms of base and consts.
+    ...) + 2.  Returns (total, max_term_magnitude, terms_used, err) with
+    exact raw mpfs, err bounding the distance of total to the exact sum of
+    the same terms of base and consts.
     """
-    wp = libmp.dps_to_prec(dps) + _GUARD_BITS
-    e = mp.mag(bound(1, *consts) * base)
+    prec = libmp.dps_to_prec(dps)
+    wp = prec + _GUARD_BITS
+    top = fzero
+    for i, c in enumerate(consts):
+        unit = bound(1, *(int(i == j) for j in range(len(consts))))
+        top = mpf_add(top, mpf_mul_int(c, unit, prec, _RND), prec, _RND)
+    _, _, exp, bc = mpf_mul(top, base, prec, _RND)
+    e = exp + bc
     ints = [_fix(wp - e, c, base) for c in consts]
     e_pow, g_pow, b_sq = 1 << wp, _fix(wp, base, base, base), _fix(wp, base, base)
     half = 1 << (wp - 1)
     stop = None
     if stop_abs is not None:  # clamped above every tail: no huge shift
-        stop = _fix(wp - e, stop_abs) if mp.mag(stop_abs) - e < wp else 1 << 2 * wp
+        stop = _fix(wp - e, stop_abs) if stop_abs[2] + stop_abs[3] - e < wp else 1 << 2 * wp
     cut = 10 ** (dps - 3)
     total = maxmag = err = 0
     n = 1
@@ -134,7 +157,7 @@ def _theta_sum(base, consts, coef, bound, dps, stop_abs=None):
     else:
         raise AccuracyError("theta series did not converge within the term cap")
     err += n * bound(n, *[1] * len(ints))
-    total, maxmag, err = (mp.make_mpf(libmp.from_man_exp(v, e - wp)) for v in (total, maxmag, err))
+    total, maxmag, err = (from_man_exp(v, e - wp) for v in (total, maxmag, err))
     return total, maxmag, n, err
 
 
@@ -146,25 +169,32 @@ def _character_coef(chi):
 def _phi_pass(chi, t, dps, stop_abs=None):
     """One fixed-precision pass over the kernel series at the point -|t|.
 
-    stop_abs drives truncation, else the pass stops relative to its
-    largest term.  One exp(|t|/2) gives every power of e^|t| the
-    coefficients need.  Returns (total, max_term_magnitude, terms_used,
-    rounding error bound).
+    stop_abs, a raw mpf, drives truncation, else the pass stops relative
+    to its largest term.  One h = exp(|t|/2) gives every power of e^|t|
+    the coefficients need; each step rounds as the mpf expression in the
+    comments would at dps digits.  Returns (total, max_term_magnitude,
+    terms_used, rounding error bound) with raw mpfs.
     """
-    with mp.workdps(dps):
-        tv = abs(to_real(t, max(dps - 15, 30)))
-        h = mp.exp(tv / 2)
-        x = h**4
-        if chi is None:
-            base = mp.exp(-mp.pi * x)
-            consts = (8 * mp.pi**2 * x * x * h, 12 * mp.pi * x * h)
-            coef = lambda n, a, b: (a * n * n - b) * n * n
-            bound = lambda n, a, b: (a * n * n + b) * n * n
-        else:
-            base = mp.exp(-mp.pi * x / chi.modulus)
-            consts = (4 * h ** (1 + 2 * chi.parity),)
-            coef, bound = _character_coef(chi)
-        return _theta_sum(base, consts, coef, bound, dps, stop_abs)
+    prec = libmp.dps_to_prec(dps)
+    tv = mpf_abs(to_real(t, max(dps - 15, 30))._mpf_, prec, _RND)
+    h = mpf_exp(mpf_shift(tv, -1), prec, _RND)
+    x = mpf_pow_int(h, 4, prec, _RND)
+    pi = mpf_pi(prec, _RND)
+    neg_pi_x = mpf_mul(mpf_neg(pi), x, prec, _RND)
+    if chi is None:  # exp(-pi x), 8 pi^2 x x h, 12 pi x h
+        base = mpf_exp(neg_pi_x, prec, _RND)
+        a = mpf_mul(mpf_mul_int(mpf_pow_int(pi, 2, prec, _RND), 8, prec, _RND), x, prec, _RND)
+        b = mpf_mul_int(pi, 12, prec, _RND)
+        for y in (x, h):
+            a, b = mpf_mul(a, y, prec, _RND), mpf_mul(b, y, prec, _RND)
+        consts = (a, b)
+        coef = lambda n, a, b: (a * n * n - b) * n * n
+        bound = lambda n, a, b: (a * n * n + b) * n * n
+    else:  # exp(-pi x / modulus), 4 h^(1 + 2 parity)
+        base = mpf_exp(mpf_div(neg_pi_x, libmp.from_int(chi.modulus), prec, _RND), prec, _RND)
+        consts = (mpf_mul_int(mpf_pow_int(h, 1 + 2 * chi.parity, prec, _RND), 4, prec, _RND),)
+        coef, bound = _character_coef(chi)
+    return _theta_sum(base, consts, coef, bound, dps, stop_abs)
 
 
 def _phi_nodes(chi, ts, abs_tol):
@@ -180,18 +210,20 @@ def _phi_nodes(chi, ts, abs_tol):
             raise DomainError("abs_tol must be nonzero")
         need = -mp.log10(tol)
     dps = int(need) + 20
-    stop = tol / 8
+    stop = (tol / 8)._mpf_
     with mp.workdps(30):
-        unit = mpf(10) ** (1 - dps)
-        floor = tol / 4
+        unit = (mpf(10) ** (1 - dps))._mpf_
+        floor = (tol / 4)._mpf_
+    # round_err = (nterms + 5) maxmag unit + floor + err at 30 digits
+    p30 = libmp.dps_to_prec(30)
     pairs = []
     for t in ts:
         total, maxmag, nterms, err = _phi_pass(chi, t, dps, stop_abs=stop)
-        with mp.workdps(30):
-            round_err = (nterms + 5) * maxmag * unit + floor + err
-        if not round_err <= tol:
+        round_err = mpf_mul(mpf_mul_int(maxmag, nterms + 5, p30, _RND), unit, p30, _RND)
+        round_err = mpf_add(mpf_add(round_err, floor, p30, _RND), err, p30, _RND)
+        if not mpf_le(round_err, tol._mpf_):
             raise AccuracyError("kernel value did not reach the absolute error target")
-        pairs.append((total, round_err))
+        pairs.append((mp.make_mpf(total), mp.make_mpf(round_err)))
     return pairs
 
 
@@ -204,6 +236,7 @@ def _phi_relative(chi, t, prec):
     """Kernel value verified to `prec` significant digits."""
     dps = prec + 18
     total, maxmag, nterms, _ = _phi_pass(chi, t, dps)
+    total, maxmag = mp.make_mpf(total), mp.make_mpf(maxmag)
     if total != 0:
         with mp.workdps(30):
             lost = float(mp.log10(maxmag / abs(total)))
@@ -262,7 +295,7 @@ def theta_selfcheck(chi, x, prec=DEFAULT_PREC):
 
         def half_sum(y):
             base = mp.exp(-mp.pi * y / chi.modulus)
-            return _theta_sum(base, (mp.one,), coef, bound, mp.dps, eps)[0]
+            return mp.make_mpf(_theta_sum(base._mpf_, (fone,), coef, bound, mp.dps, eps._mpf_)[0])
 
         lhs = 2 * half_sum(xv)
         rhs = 2 * half_sum(1 / xv)
@@ -373,32 +406,33 @@ class XiEvaluator:
         the first `points // 2` pairs, and `panels` holds for each panel
         (m, even row, odd row) with e_j = wPhi(m + u_j) + wPhi(m - u_j)
         and o_j = wPhi(m + u_j) - wPhi(m - u_j); for an odd rule the
-        centre node ends the even row.
+        centre node ends the even row.  Offsets and midpoints are raw mpfs, each
+        row is exact integers at one exponent, all rounded at self._dps digits.
         """
         if k not in self._levels:
+            prec = libmp.dps_to_prec(self._dps)
             grid = panel_grid(0, self.t_cutoff, 2**k, self.points, self._dps)
             nodes = tuple(t for t, _ in grid)
             pairs = _phi_nodes(self.chi, nodes, self._node_tol)
-            wphi = []
-            err_sum = mp.zero
+            wphi, err_sum = [], fzero
             for (_, w_node), (val, err) in zip(grid, pairs):
-                with mp.workdps(self._dps):
-                    wphi.append(w_node * val)
-                err_sum += w_node * err
+                wphi.append(mpf_mul(w_node._mpf_, val._mpf_, prec, _RND))
+                err_sum = mpf_add(err_sum, mpf_mul(w_node._mpf_, err._mpf_, prec, _RND), prec, _RND)
+            ts = [t._mpf_ for t in nodes]
             n, half = self.points, self.points // 2
-            with mp.workdps(self._dps):
-                offsets = tuple((grid[n - 1 - j][0] - grid[j][0]) / 2 for j in range(half))
-                panels = []
-                for start in range(0, len(grid), n):
-                    row = wphi[start:start + n]
-                    right, left = row[::-1][:half], row[:half]
-                    even = [a + b for a, b in zip(right, left)]
-                    odd = [a - b for a, b in zip(right, left)]
-                    if n % 2:
-                        even.append(row[half])
-                    mid = (grid[start][0] + grid[start + n - 1][0]) / 2
-                    panels.append((mid, even, odd))
-            self._levels[k] = (nodes, tuple(wphi), +err_sum, offsets, tuple(panels))
+            offsets = tuple(mpf_shift(mpf_sub(ts[n - 1 - j], ts[j], prec, _RND), -1) for j in range(half))
+            panels = []
+            for start in range(0, len(ts), n):
+                row = wphi[start:start + n]
+                right, left = row[::-1][:half], row[:half]
+                even = [mpf_add(a, b, prec, _RND) for a, b in zip(right, left)]
+                odd = [mpf_sub(a, b, prec, _RND) for a, b in zip(right, left)]
+                if n % 2:
+                    even.append(row[half])
+                mid = mpf_shift(mpf_add(ts[start], ts[start + n - 1], prec, _RND), -1)
+                panels.append((mid, _fixed_row(even), _fixed_row(odd)))
+            wphi, err_sum = tuple(map(mp.make_mpf, wphi)), mp.make_mpf(err_sum)
+            self._levels[k] = (nodes, wphi, err_sum, offsets, tuple(panels))
         return self._levels[k]
 
     def _cosine(self, k, zv):
@@ -407,19 +441,26 @@ class XiEvaluator:
         cos(z (m + u)) = cos(z m) cos(z u) - sin(z m) sin(z u), so one sweep
         takes cos_sin once per local offset and once per panel midpoint and
         two dot products per panel, in place of a cosine at every node.
+        It rounds as acc += c fdot(even, cos_u) - s fdot(odd, sin_u) at the
+        working digits: fdot's mpf_sum rounds the exact sum of exact
+        products once, dropping terms only across an exponent gap above
+        twice the precision, which each row is checked to stay under.
         """
         _, _, _, offsets, panels = self._level(k)
-        with mp.workdps(self._dps):
-            local = [mp.cos_sin(zv * u) for u in offsets]
-            cos_u = [c for c, _ in local]
-            sin_u = [s for _, s in local]
-            if self.points % 2:
-                cos_u.append(mp.one)
-            acc = mp.zero
-            for mid, even, odd in panels:
-                c, s = mp.cos_sin(zv * mid)
-                acc += c * mp.fdot(even, cos_u) - s * mp.fdot(odd, sin_u)
-            return +acc
+        prec = libmp.dps_to_prec(self._dps)
+        z = zv._mpf_
+        local = [mpf_cos_sin(mpf_mul(z, u, prec, _RND), prec, _RND) for u in offsets]
+        cos_u, cos_e, cos_span = _fixed_row([c for c, _ in local] + [fone] * (self.points % 2))
+        sin_u, sin_e, sin_span = _fixed_row([s for _, s in local])
+        acc = fzero
+        for mid, (even, even_e, even_span), (odd, odd_e, odd_span) in panels:
+            assert max(even_span + cos_span, odd_span + sin_span) < 2 * prec
+            c, s = mpf_cos_sin(mpf_mul(z, mid, prec, _RND), prec, _RND)
+            dot_c = from_man_exp(sum(map(operator.mul, even, cos_u)), even_e + cos_e, prec, _RND)
+            dot_s = from_man_exp(sum(map(operator.mul, odd, sin_u)), odd_e + sin_e, prec, _RND)
+            term = mpf_sub(mpf_mul(c, dot_c, prec, _RND), mpf_mul(s, dot_s, prec, _RND), prec, _RND)
+            acc = mpf_add(acc, term, prec, _RND)
+        return mp.make_mpf(acc)
 
     def moment(self, n):
         """(b_n, error bound): the 2n-th kernel moment.
@@ -435,15 +476,18 @@ class XiEvaluator:
             raise LimitExceededError(
                 f"moment order {n} exceeds the cap {MOMENT_ORDER_CAP}"
             )
+        prec = libmp.dps_to_prec(self._dps)
         with mp.workdps(self._dps):
             wmax = max(mp.one, self.t_cutoff ** (2 * n))
             tol = mpf(10) ** (-self.target_digits)
             prev = None
             for k in range(1, _MAX_DOUBLINGS + 1):
                 nodes, wphi, err_sum = self._level(k)[:3]
-                cur = mp.zero
+                cur = fzero  # cur += wPhi t^(2n), node by node
                 for t_node, wv in zip(nodes, wphi):
-                    cur += wv * t_node ** (2 * n)
+                    term = mpf_mul(wv._mpf_, mpf_pow_int(t_node._mpf_, 2 * n, prec, _RND), prec, _RND)
+                    cur = mpf_add(cur, term, prec, _RND)
+                cur = mp.make_mpf(cur)
                 if prev is not None:
                     gap = abs(cur - prev)
                     if gap <= tol * max(abs(cur), mp.one):

@@ -743,6 +743,24 @@ def test_truncated_sum_exponent_mode_override(locate, args, n, mode, closed):
         assert tps.tail.value < 1 / zl.zeros[-1] ** power
 
 
+def test_truncated_sum_takes_a_passed_tail_only_for_its_own_power(bessel0):
+    # the list's own tail of order 2 is the tail of sum 1/z^4
+    own = tail_estimate(bessel0, 2, 50)
+    assert own.power == 4
+    assert truncated_power_sum(bessel0, 2, prec=50, tail=own) == truncated_power_sum(
+        bessel0, 2, prec=50
+    )
+    # summed plain, order 2 is sum 1/z^2: the 1/z^4 tail would give an
+    # interval 0.2474828 + 5.4e-8 that excludes the true 1/4
+    with pytest.raises(DomainError, match=r"^tail was taken for the sum of zero\^-4, not of zero\^-2$"):
+        truncated_power_sum(bessel0, 2, exponent_mode=MODE_PLAIN, prec=50, tail=own)
+    plain = tail_estimate(bessel0, 1, 50)
+    assert plain.power == 2
+    tps = truncated_power_sum(bessel0, 2, exponent_mode=MODE_PLAIN, prec=50, tail=plain)
+    assert tps == truncated_power_sum(bessel0, 2, exponent_mode=MODE_PLAIN, prec=50)
+    assert tps.estimate < mp.mpf(1) / 4 < tps.estimate + tps.error_bound
+
+
 def test_truncated_sum_brackets_qairy_closed_forms(qairy_half):
     for n in (1, 2, 3):
         closed = qairy_s_closed("0.5", n, 50)

@@ -8,13 +8,16 @@ Independent references used here:
 
 from __future__ import annotations
 
+import collections
 import functools
+import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from zerosum import (
     DomainError,
@@ -247,11 +250,14 @@ def test_theta_pass_stays_within_its_rounding_bound(d, u, relative, dps):
     chi = None if d is None else kronecker_character(d)
     t_cut = zeta._solve_t_cutoff(*zeta._kernel_shape(chi), dps, zeta.MOMENT_ORDER_CAP)
     # the stop threshold _phi_nodes sets for the tolerance 10^(20 - dps)
-    stop = None if relative else mp.mpf(10) ** (20 - dps) / 8
+    stop = None if relative else (mp.mpf(10) ** (20 - dps) / 8)._mpf_
     calls = []
     with mock.patch.object(zeta, "_theta_sum", _recording(zeta._theta_sum, calls)):
         total, maxmag, n, err = zeta._phi_pass(chi, u * t_cut, dps, stop)
     ((base, consts, coef, *_), _), = calls
+    # the pass runs on raw mpfs: make mpfs of what it took and returned
+    total, maxmag, err, base = (mp.make_mpf(v) for v in (total, maxmag, err, base))
+    consts = [mp.make_mpf(c) for c in consts]
     with mp.workdps(dps + 40):
         want = mp.fsum(coef(k, *consts) * base ** (k * k) for k in range(1, n + 1))
         assert abs(total - want) <= err
@@ -481,8 +487,9 @@ def _xi_zeros_evaluator(d, count):
         return made[-1]
 
     with mock.patch.object(oracle, "XiEvaluator", build):
-        xi_zeros(count, 30, chi)
+        zero_list = xi_zeros(count, 30, chi)
     (ev,) = made
+    ev.zero_list = zero_list
     return ev
 
 
@@ -516,16 +523,245 @@ def test_transform_at_xi_zeros_probes_within_its_printed_bound(u, case):
     assert abs(got - mp.re(want)) <= err
 
 
+# Zeta's kernel pass, level fold, moment pass and transform sweep in plain
+# mpf arithmetic: the reference their raw libmp code must match bit for bit.
+
+
+def _mpf_fix(s, *xs):
+    man = 1
+    for x in xs:
+        m, e = x.man_exp
+        man, s = man * m, s + e
+    return man << s if s >= 0 else man >> -s
+
+
+def _mpf_theta_sum(base, consts, coef, bound, dps, stop_abs=None):
+    wp = libmp.dps_to_prec(dps) + zeta._GUARD_BITS
+    e = mp.mag(bound(1, *consts) * base)
+    ints = [_mpf_fix(wp - e, c, base) for c in consts]
+    e_pow, g_pow, b_sq = 1 << wp, _mpf_fix(wp, base, base, base), _mpf_fix(wp, base, base)
+    half = 1 << (wp - 1)
+    stop = None
+    if stop_abs is not None:
+        stop = _mpf_fix(wp - e, stop_abs) if mp.mag(stop_abs) - e < wp else 1 << 2 * wp
+    cut = 10 ** (dps - 3)
+    total = maxmag = err = 0
+    n = 1
+    while True:
+        term = coef(n, *ints) * e_pow >> wp
+        total += term
+        maxmag = max(maxmag, abs(term))
+        bnd = bound(n, *ints)
+        err += (bnd * (n * n + n) >> wp) + 2
+        if g_pow <= half:
+            tail = 32 * bnd * e_pow >> wp
+            if (tail < stop) if stop is not None else (tail * cut < maxmag):
+                break
+        e_pow = e_pow * g_pow >> wp
+        g_pow = g_pow * b_sq >> wp
+        n += 1
+    err += n * bound(n, *[1] * len(ints))
+    total, maxmag, err = (mp.make_mpf(libmp.from_man_exp(v, e - wp)) for v in (total, maxmag, err))
+    return total, maxmag, n, err
+
+
+def _mpf_phi_pass(chi, t, dps, stop_abs=None):
+    with mp.workdps(dps):
+        tv = abs(to_real(t, max(dps - 15, 30)))
+        h = mp.exp(tv / 2)
+        x = h**4
+        if chi is None:
+            base = mp.exp(-mp.pi * x)
+            consts = (8 * mp.pi**2 * x * x * h, 12 * mp.pi * x * h)
+            coef = lambda n, a, b: (a * n * n - b) * n * n
+            bound = lambda n, a, b: (a * n * n + b) * n * n
+        else:
+            base = mp.exp(-mp.pi * x / chi.modulus)
+            consts = (4 * h ** (1 + 2 * chi.parity),)
+            coef, bound = zeta._character_coef(chi)
+        return _mpf_theta_sum(base, consts, coef, bound, dps, stop_abs)
+
+
+@functools.lru_cache(maxsize=None)
+def _mpf_fold(ev, k):
+    # (wPhi, summed node error, offsets, panels) of level k, as _level built them
+    grid = zeta.panel_grid(0, ev.t_cutoff, 2**k, ev.points, ev._dps)
+    pairs = zeta._phi_nodes(ev.chi, [t for t, _ in grid], ev._node_tol)
+    with mp.workdps(ev._dps):
+        wphi = [w_node * val for (_, w_node), (val, _) in zip(grid, pairs)]
+        err_sum = mp.zero
+        for (_, w_node), (_, err) in zip(grid, pairs):
+            err_sum += w_node * err
+        n, half = ev.points, ev.points // 2
+        offsets = [(grid[n - 1 - j][0] - grid[j][0]) / 2 for j in range(half)]
+        panels = []
+        for start in range(0, len(grid), n):
+            row = wphi[start:start + n]
+            right, left = row[::-1][:half], row[:half]
+            even = [a + b for a, b in zip(right, left)]
+            odd = [a - b for a, b in zip(right, left)]
+            if n % 2:
+                even.append(row[half])
+            mid = (grid[start][0] + grid[start + n - 1][0]) / 2
+            panels.append((mid, even, odd))
+        return wphi, +err_sum, offsets, panels
+
+
+def _mpf_cosine(ev, k, zv):
+    _, _, offsets, panels = _mpf_fold(ev, k)
+    with mp.workdps(ev._dps):
+        local = [mp.cos_sin(zv * u) for u in offsets]
+        cos_u = [c for c, _ in local] + [mp.one] * (ev.points % 2)
+        sin_u = [s for _, s in local]
+        acc = mp.zero
+        for mid, even, odd in panels:
+            c, s = mp.cos_sin(zv * mid)
+            acc += c * mp.fdot(even, cos_u) - s * mp.fdot(odd, sin_u)
+        return +acc
+
+
+def _mpf_moment(ev, n):
+    with mp.workdps(ev._dps):
+        wmax = max(mp.one, ev.t_cutoff ** (2 * n))
+        tol = mp.mpf(10) ** (-ev.target_digits)
+        prev = None
+        for k in range(1, zeta._MAX_DOUBLINGS + 1):
+            nodes, wphi, err_sum = ev._level(k)[:3]
+            cur = mp.zero
+            for t_node, wv in zip(nodes, wphi):
+                cur += wv * t_node ** (2 * n)
+            if prev is not None:
+                gap = abs(cur - prev)
+                if gap <= tol * max(abs(cur), mp.one):
+                    tail = zeta._tail_bound(ev.modulus, ev._alpha, ev._const, float(ev.t_cutoff), n)
+                    return cur, +(gap + err_sum * wmax + tail)
+            prev = cur
+
+
+def _raw(values):
+    return [v._mpf_ for v in values]
+
+
 def _phi_with_error_per_node(chi, t, abs_tol):
-    # the kernel node with its own set-up: the reference for the batched loop
+    # the kernel node with its own set-up in mpf: the reference for the
+    # batched loop on raw values
     with mp.workdps(40):
         tol = abs(to_real(abs_tol, 30))
         need = -mp.log10(tol)
     dps = int(need) + 20
-    total, maxmag, nterms, err = zeta._phi_pass(chi, t, dps, stop_abs=tol / 8)
+    total, maxmag, nterms, err = _mpf_phi_pass(chi, t, dps, stop_abs=tol / 8)
     with mp.workdps(30):
         round_err = (nterms + 5) * maxmag * mp.mpf(10) ** (1 - dps) + tol / 4 + err
         return total, +round_err
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    # the autouse 90-digit ambient fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    d=st.sampled_from([None, -3, -4, 5]),
+    u=st.floats(min_value=0, max_value=1),
+    relative=st.booleans(),
+    dps=st.integers(min_value=40, max_value=120),
+)
+def test_raw_kernel_pass_bit_identical_to_mpf(d, u, relative, dps):
+    chi = None if d is None else kronecker_character(d)
+    t = u * zeta._solve_t_cutoff(*zeta._kernel_shape(chi), dps, zeta.MOMENT_ORDER_CAP)
+    tol = mp.mpf(10) ** (20 - dps)
+    stop = None if relative else tol / 8
+    total, maxmag, n, err = _mpf_phi_pass(chi, t, dps, stop)
+    got = zeta._phi_pass(chi, t, dps, None if stop is None else stop._mpf_)
+    assert got == (total._mpf_, maxmag._mpf_, n, err._mpf_)
+    if not relative:
+        assert _raw(zeta._phi_nodes(chi, [t], tol)[0]) == _raw(_phi_with_error_per_node(chi, t, tol))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    # the autouse 90-digit ambient fixture holds for every example alike
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    z=st.floats(min_value=0, max_value=150),
+    d=st.sampled_from([None, -3, -4, 5]),
+    points=st.sampled_from([7, 24, 48]),
+)
+def test_raw_fold_and_sweep_bit_identical_to_mpf(z, d, points):
+    # the odd rule puts a centre node into each panel's even row
+    ev = _evaluator(d, points)
+    zv = mp.mpf(z)
+    for k in range(1, 4):
+        got = ev._cosine(k, zv)
+        nodes, wphi, err_sum, offsets, panels = ev._level(k)
+        ref_wphi, ref_err, ref_offsets, ref_panels = _mpf_fold(ev, k)
+        assert _raw(wphi) == _raw(ref_wphi)
+        assert err_sum._mpf_ == ref_err._mpf_
+        assert list(offsets) == _raw(ref_offsets)
+        for (mid, *rows), (ref_mid, *ref_rows) in zip(panels, ref_panels, strict=True):
+            assert mid == ref_mid._mpf_
+            for (ints, exp, _), ref_row in zip(rows, ref_rows):
+                assert [libmp.from_man_exp(v, exp) for v in ints] == _raw(ref_row)
+        assert got._mpf_ == _mpf_cosine(ev, k, zv)._mpf_
+
+
+@pytest.mark.parametrize("d", [None, -3, -4, 5])
+def test_raw_moment_pass_bit_identical_to_mpf(d):
+    ev = _evaluator(d, 24)
+    for n in (0, 1, 7, 12):
+        assert _raw(ev.moment(n)) == _raw(_mpf_moment(ev, n))
+    for k in ev._levels:
+        wphi, err_sum = _mpf_fold(ev, k)[:2]
+        assert _raw(ev._level(k)[1]) == _raw(wphi)
+        assert ev._level(k)[2]._mpf_ == err_sum._mpf_
+
+
+FROZEN = json.loads(Path(__file__).with_name("zeta_frozen.json").read_text())
+
+
+def test_tables_and_zeros_equal_values_frozen_from_the_mpf_code(riemann_table):
+    # exact mpf tuples recorded from the plain mpf arithmetic of the xi layer
+    tables = {
+        "riemann_moments(4, 50)": riemann_table,
+        "riemann_moments(12, 50)": riemann_moments(12, 50),
+        "dirichlet_moments(chi_-3, 2, 50)": dirichlet_moments(kronecker_character(-3), 2, 50),
+    }
+    for name, tab in tables.items():
+        for field in ("b", "beta", "quadrature_error"):
+            assert [list(v) for v in _raw(getattr(tab, field))] == FROZEN[name][field], (name, field)
+    zl = _xi_zeros_evaluator(None, 16).zero_list
+    for field in ("zeros", "residuals"):
+        assert [list(v) for v in _raw(getattr(zl, field))] == FROZEN["xi_zeros(16, 30)"][field], field
+    assert [list(zl.tol._mpf_)] == FROZEN["xi_zeros(16, 30)"]["tol"]
+
+
+def test_perfbench_hook_points_stay_on_the_call_path(monkeypatch):
+    # perfbench/tracing.py replaces these names to count quadrature nodes,
+    # the locked level and the sweeps per zero
+    calls = collections.Counter()
+
+    def wrap(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(zeta, "panel_grid")
+    wrap(zeta.XiEvaluator, "calibrate_transform")
+    wrap(zeta.XiEvaluator, "transform_at")
+    riemann_moments(2, 30)
+    assert calls["panel_grid"] >= 2
+    calls.clear()
+    zl = xi_zeros(2, 30)
+    assert calls["panel_grid"] >= 2
+    assert calls["calibrate_transform"] == 1
+    assert calls["transform_at"] >= zl.count
 
 
 @pytest.mark.parametrize("d", [None, -3, 5])
