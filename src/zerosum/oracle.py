@@ -1097,15 +1097,16 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
     """First `count` positive ordinates where the cosine transform vanishes.
 
     Scans [10, T] in 0.5 steps (T from the smooth counting term), refines
-    inside the bracket at a calibrated quadrature level, and cross-checks the
-    found count against the smooth counting term within +-2, rescanning
-    once with a halved step on mismatch.  Only positive ordinates are
-    reported.  For a Dirichlet kernel (chi set) the scan starts near 0
-    and no counting cross-check is available.
+    inside the bracket on the transform's calibrated trapezoid level, one
+    integer sweep per evaluation, and cross-checks the found count against
+    the smooth counting term within +-2, rescanning once with a halved
+    step on mismatch.  Only positive ordinates are reported.  For a
+    Dirichlet kernel (chi set) the scan starts near 0 and no counting
+    cross-check is available.
     """
     family = "xi" if chi is None else "xi-dirichlet"
     _check_count(count, family, prec)
-    ev = XiEvaluator(chi=chi, prec=prec, points=48)
+    ev = XiEvaluator(chi=chi, prec=prec)
     with working(prec, 15):
         if chi is None:
             t_end = _ordinate_for_count(count + 1) + 2.0

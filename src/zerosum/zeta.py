@@ -3,12 +3,14 @@
 The Riemann kernel density and its Dirichlet-character analogues are
 summed directly from their theta-series definitions; their even moments
 feed the Newton routes, and their cosine transforms locate zeros on the
-critical line.  Quadrature is composite Gauss-Legendre on [0, t_cutoff]
+critical line.  Moments use composite Gauss-Legendre on [0, t_cutoff]
 with the panel count doubled until two successive refinements agree.
-The cosine transform is summed panel by panel: each level folds its
-weighted kernel values once into even and odd rows about every panel
-midpoint, so a sweep at z takes cos and sin only at the rule's
-half-offsets and at the panel midpoints, not at every node.
+The cosine transform uses the trapezoid rule h (Phi(0)/2 + sum_j Phi(j h)
+cos(j z h)), which converges exponentially because Phi is even and
+analytic in the strip |Im t| < pi/4 (Trefethen and Weideman, SIAM Rev.
+56 (2014)).  Its levels halve h, so each level reuses the kernel values
+of the one below and computes only its new midpoints, and a sweep at z
+is one Clenshaw recurrence on integers with a single cosine.
 
 Both kernels are even in t: for the Riemann kernel this is Polya's form
 (Titchmarsh, The Theory of the Riemann Zeta-Function, section 10.1), and
@@ -22,22 +24,22 @@ theta self-check first.
 
 The theta series is summed on integers scaled to its first term
 (`_theta_sum`); every node's error bound includes the pass's rounding bound.
-Node set-up, moment pass and transform sweep run on mpmath's raw libmp
-values and exact integers, each step rounded as its mpf expression would
-be, so every result is bit-identical to the plain mpf arithmetic.
+Node set-up and the moment pass run on mpmath's raw libmp values and exact
+integers, each step rounded as its mpf expression would be, so every
+moment table is bit-identical to the plain mpf arithmetic.  The transform
+sweep carries its own rounding bound into the printed transform bound.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from mpmath import libmp, mp, mpf
 from mpmath.libmp import (
-    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_le,
-    mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sub,
-    round_nearest as _RND,
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_exp, mpf_le,
+    mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, round_nearest as _RND,
+    to_fixed,
 )
 
 from .errors import (
@@ -56,8 +58,12 @@ _SERIES_TERM_CAP = 2_000_000
 
 _GUARD_BITS = 32
 
-# refinement budget of the quadrature: panels = 2, 4, 8, ... up to 2^10
+# refinement budget: Gauss-Legendre panels 2, 4, 8, ... up to 2^10, and
+# trapezoid levels 0 .. 10
 _MAX_DOUBLINGS = 10
+
+# trapezoid level k of the cosine transform has 24 2^k intervals
+_TRAPEZOID_INTERVALS = 24
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,6 @@ def _fix(s, *xs):
     for _, m, e, _ in xs:
         man, s = man * m, s + e
     return man << s if s >= 0 else man >> -s
-
-
-def _fixed_row(xs):
-    # raw mpfs as exact integers times 2^exp, and their nonzero exponents' span
-    exps = [x[2] for x in xs if x[1]]
-    lo = min(exps, default=0)
-    ints = [(-m if sign else m) << (e - lo) if m else 0 for sign, m, e, _ in xs]
-    return ints, lo, max(exps, default=lo) - lo
 
 
 def _theta_sum(base, consts, coef, bound, dps, stop_abs=None):
@@ -358,14 +356,14 @@ def _tail_bound(m, alpha, const, t_cut, order):
 
 
 class XiEvaluator:
-    """Cosine transform and moment table of one kernel, with a cached grid.
+    """Cosine transform and moment table of one kernel, with cached grids.
 
     chi = None selects the Riemann kernel; any other chi must pass the
     theta self-check, or DomainError is raised.  The kernel values at the
-    quadrature nodes are computed once per refinement level and reused
-    across every moment order and every transform argument.  Integrals
-    aim at prec + 15 digits; `points` is the Gauss-Legendre rule size of
-    every panel.
+    nodes are computed once per refinement level and reused across every
+    moment order and every transform argument.  Integrals aim at prec +
+    15 digits; `points` is the Gauss-Legendre rule size of every moment
+    panel.
     """
 
     def __init__(self, chi=None, prec=DEFAULT_PREC, points=24):
@@ -393,21 +391,21 @@ class XiEvaluator:
         # below 10^(-target-6)
         with mp.workdps(40):
             self._node_tol = mpf(10) ** (-(target + 6)) / (2 * self.t_cutoff)
+        self._tail0 = tail0
+        # trapezoid step of level 0, t_cutoff / _TRAPEZOID_INTERVALS rounded
+        # up to a float: every node j h is an exact mpf and covers t_cutoff
+        self._h0 = mpf(math.nextafter(t_cut / _TRAPEZOID_INTERVALS, math.inf))._mpf_
+        self._wp = libmp.dps_to_prec(self._dps) + _GUARD_BITS
         self._levels = {}
+        self._trapezoids = {}
         self._bulk_level = None
         self._bulk_err = None
 
     def _level(self, k):
-        """(nodes, wPhi, summed node error, offsets, panels) of level k.
+        """(nodes, wPhi, summed node error) of Gauss-Legendre level k.
 
-        wPhi holds weight times kernel value at each node.  Every panel
-        holds the same symmetric rule, so its nodes pair up as m + u_j and
-        m - u_j around the panel midpoint m.  `offsets` lists the u_j of
-        the first `points // 2` pairs, and `panels` holds for each panel
-        (m, even row, odd row) with e_j = wPhi(m + u_j) + wPhi(m - u_j)
-        and o_j = wPhi(m + u_j) - wPhi(m - u_j); for an odd rule the
-        centre node ends the even row.  Offsets and midpoints are raw mpfs, each
-        row is exact integers at one exponent, all rounded at self._dps digits.
+        wPhi holds weight times kernel value at each node, rounded at
+        self._dps digits as w * Phi in mpf.
         """
         if k not in self._levels:
             prec = libmp.dps_to_prec(self._dps)
@@ -418,49 +416,66 @@ class XiEvaluator:
             for (_, w_node), (val, err) in zip(grid, pairs):
                 wphi.append(mpf_mul(w_node._mpf_, val._mpf_, prec, _RND))
                 err_sum = mpf_add(err_sum, mpf_mul(w_node._mpf_, err._mpf_, prec, _RND), prec, _RND)
-            ts = [t._mpf_ for t in nodes]
-            n, half = self.points, self.points // 2
-            offsets = tuple(mpf_shift(mpf_sub(ts[n - 1 - j], ts[j], prec, _RND), -1) for j in range(half))
-            panels = []
-            for start in range(0, len(ts), n):
-                row = wphi[start:start + n]
-                right, left = row[::-1][:half], row[:half]
-                even = [mpf_add(a, b, prec, _RND) for a, b in zip(right, left)]
-                odd = [mpf_sub(a, b, prec, _RND) for a, b in zip(right, left)]
-                if n % 2:
-                    even.append(row[half])
-                mid = mpf_shift(mpf_add(ts[start], ts[start + n - 1], prec, _RND), -1)
-                panels.append((mid, _fixed_row(even), _fixed_row(odd)))
-            wphi, err_sum = tuple(map(mp.make_mpf, wphi)), mp.make_mpf(err_sum)
-            self._levels[k] = (nodes, wphi, err_sum, offsets, tuple(panels))
+            self._levels[k] = (nodes, tuple(map(mp.make_mpf, wphi)), mp.make_mpf(err_sum))
         return self._levels[k]
 
-    def _cosine(self, k, zv):
-        """Level-k sum of w Phi(t) cos(zv t), panel by panel.
+    def _trapezoid(self, k):
+        """(h, a, summed node error, sweep rounding bound) of trapezoid level k.
 
-        cos(z (m + u)) = cos(z m) cos(z u) - sin(z m) sin(z u), so one sweep
-        takes cos_sin once per local offset and once per panel midpoint and
-        two dot products per panel, in place of a cosine at every node.
-        It rounds as acc += c fdot(even, cos_u) - s fdot(odd, sin_u) at the
-        working digits: fdot's mpf_sum rounds the exact sum of exact
-        products once, dropping terms only across an exponent gap above
-        twice the precision, which each row is checked to stay under.
+        Level k has N = _TRAPEZOID_INTERVALS 2^k intervals of width
+        h = h_0 2^-k.  Its even nodes are level k - 1's, so only the new
+        midpoints go through the kernel.  a_j = floor(Phi(j h) 2^wp) for
+        j >= 1 and a_0 = floor(Phi(0) 2^(wp - 1)), so the rule is
+        h 2^-wp sum_j a_j cos(j z h).
+        The node error is h (err_0/2 + sum_j err_j).  The sweep bound, in
+        units h 2^-wp: each floor of a_j and of the recurrence enters as a
+        change of one coefficient by under one unit, and |T_j| <= 1, so
+        2 (N + 1); cos(z h) is within 2 units, and |T_j'| <= j^2, so
+        2 sum_j j^2 |a_j| 2^-wp; the last rounding, to wp minus the guard
+        bits, adds sum_j |a_j| 2^(33 - wp).
         """
-        _, _, _, offsets, panels = self._level(k)
-        prec = libmp.dps_to_prec(self._dps)
+        if k not in self._trapezoids:
+            h = mpf_shift(self._h0, -k)
+            n = _TRAPEZOID_INTERVALS << k
+            js = range(n + 1) if k == 0 else range(1, n, 2)
+            ts = [mp.make_mpf(from_man_exp(j * h[1], h[2])) for j in js]
+            pairs = _phi_nodes(self.chi, ts, self._node_tol)
+            new = [to_fixed(v._mpf_, self._wp) for v, _ in pairs]
+            with mp.workdps(30):
+                node_err = mp.make_mpf(h) * mp.fsum(e for _, e in pairs)
+                if k == 0:
+                    a = new
+                    a[0] >>= 1
+                    node_err -= mp.make_mpf(h) * pairs[0][1] / 2
+                else:
+                    _, below, below_err, _ = self._trapezoid(k - 1)
+                    a = [0] * (n + 1)
+                    a[::2], a[1::2] = below, new
+                    node_err += below_err / 2
+            units = 2 * (n + 1) + (2 * sum(j * j * abs(aj) for j, aj in enumerate(a)) >> self._wp)
+            units += (sum(map(abs, a)) >> (self._wp - _GUARD_BITS - 1)) + 2
+            sweep_err = mp.make_mpf(from_man_exp(units * h[1], h[2] - self._wp))
+            self._trapezoids[k] = (h, tuple(a), node_err, sweep_err)
+        return self._trapezoids[k]
+
+    def _sweep(self, k, zv):
+        """Level-k trapezoid sum of Phi(t) cos(zv t) by one Clenshaw recurrence.
+
+        With x = cos(zv h) in units of 2^-wp, b_j = a_j + floor(2 x b_(j+1))
+        - b_(j+2) and S = a_0 + floor(x b_1) - b_2 give S = sum_j a_j T_j(x)
+        = sum_j a_j cos(j zv h).  zv h is exact and its cosine is taken at
+        wp bits, so one cosine serves the whole level.
+        """
+        h, a = self._trapezoid(k)[:2]
+        wp = self._wp
         z = zv._mpf_
-        local = [mpf_cos_sin(mpf_mul(z, u, prec, _RND), prec, _RND) for u in offsets]
-        cos_u, cos_e, cos_span = _fixed_row([c for c, _ in local] + [fone] * (self.points % 2))
-        sin_u, sin_e, sin_span = _fixed_row([s for _, s in local])
-        acc = fzero
-        for mid, (even, even_e, even_span), (odd, odd_e, odd_span) in panels:
-            assert max(even_span + cos_span, odd_span + sin_span) < 2 * prec
-            c, s = mpf_cos_sin(mpf_mul(z, mid, prec, _RND), prec, _RND)
-            dot_c = from_man_exp(sum(map(operator.mul, even, cos_u)), even_e + cos_e, prec, _RND)
-            dot_s = from_man_exp(sum(map(operator.mul, odd, sin_u)), odd_e + sin_e, prec, _RND)
-            term = mpf_sub(mpf_mul(c, dot_c, prec, _RND), mpf_mul(s, dot_s, prec, _RND), prec, _RND)
-            acc = mpf_add(acc, term, prec, _RND)
-        return mp.make_mpf(acc)
+        x = to_fixed(mpf_cos(mpf_mul(z, h, z[3] + h[3], _RND), wp, _RND), wp)
+        b1 = b2 = 0
+        shift = wp - 1
+        for aj in a[:0:-1]:
+            b1, b2 = aj + (x * b1 >> shift) - b2, b1
+        total = a[0] + (x * b1 >> wp) - b2
+        return mp.make_mpf(from_man_exp(total * h[1], h[2] - wp, wp - _GUARD_BITS, _RND))
 
     def moment(self, n):
         """(b_n, error bound): the 2n-th kernel moment.
@@ -482,7 +497,7 @@ class XiEvaluator:
             tol = mpf(10) ** (-self.target_digits)
             prev = None
             for k in range(1, _MAX_DOUBLINGS + 1):
-                nodes, wphi, err_sum = self._level(k)[:3]
+                nodes, wphi, err_sum = self._level(k)
                 cur = fzero  # cur += wPhi t^(2n), node by node
                 for t_node, wv in zip(nodes, wphi):
                     term = mpf_mul(wv._mpf_, mpf_pow_int(t_node._mpf_, 2 * n, prec, _RND), prec, _RND)
@@ -501,13 +516,14 @@ class XiEvaluator:
         )
 
     def calibrate_transform(self, z_probes):
-        """Fix a single refinement level for bulk transform evaluation.
+        """Fix a single trapezoid level for bulk transform evaluation.
 
-        Builds levels 1, 2, 3, ... until level k agrees with level k - 1
+        Builds levels 0, 1, 2, ... until level k agrees with level k - 1
         at every probe argument, and locks level k: no level above it is
         built.  The absolute error bound is 8 (largest gap at the probes
-        + summed node error of level k) + 10^-target_digits.  Bulk zero
-        scans use transform_at() afterwards, which costs one grid sweep
+        + summed node error of level k) + 10^-target_digits, plus the
+        sweep's rounding bound and the omitted nodes past t_cutoff.  Bulk
+        zero scans use transform_at() afterwards, which costs one sweep
         instead of a full refinement ladder.
         """
         probes = tuple(z_probes)
@@ -515,21 +531,17 @@ class XiEvaluator:
             raise DomainError("calibration needs at least one probe argument")
         with mp.workdps(self._dps):
             tol = mpf(10) ** (-self.target_digits)
-            for k in range(2, _MAX_DOUBLINGS + 1):
-                worst = mp.zero
-                ok = True
-                for z in probes:
-                    zv = to_real(z, self._dps)
-                    gap = abs(self._cosine(k, zv) - self._cosine(k - 1, zv))
-                    if gap > worst:
-                        worst = gap
-                    if gap > tol:
-                        ok = False
-                        break
-                if ok:
+            zvs = [to_real(z, self._dps) for z in probes]
+            prev = [self._sweep(0, zv) for zv in zvs]
+            for k in range(1, _MAX_DOUBLINGS + 1):
+                cur = [self._sweep(k, zv) for zv in zvs]
+                worst = max(abs(c - p) for c, p in zip(cur, prev))
+                if worst <= tol:
+                    _, _, node_err, sweep_err = self._trapezoid(k)
                     self._bulk_level = k
-                    self._bulk_err = +(8 * (worst + self._level(k)[2]) + tol)
+                    self._bulk_err = +(8 * (worst + node_err) + tol + sweep_err + self._tail0)
                     return self._bulk_level, self._bulk_err
+                prev = cur
         raise AccuracyError("transform calibration did not converge")
 
     def transform_at(self, z):
@@ -537,8 +549,7 @@ class XiEvaluator:
         if self._bulk_level is None:
             raise AccuracyError("call calibrate_transform before transform_at")
         with mp.workdps(self._dps):
-            zv = to_real(z, self._dps)
-            return self._cosine(self._bulk_level, zv), self._bulk_err
+            return self._sweep(self._bulk_level, to_real(z, self._dps)), self._bulk_err
 
     def moment_table(self, order):
         """MomentTable with b_0..b_order, beta_0..beta_order, error bounds."""

@@ -123,8 +123,8 @@ def _completed_l(chi, s):
 
 
 def _transform(z, chi=None):
-    # the path xi_zeros runs: 48-point panels, one level calibrated at z
-    ev = XiEvaluator(chi=chi, prec=40, points=48)
+    # the path xi_zeros runs: one level calibrated at z
+    ev = XiEvaluator(chi=chi, prec=40)
     ev.calibrate_transform([z])
     value, err = ev.transform_at(z)
     assert err <= mp.mpf(10) ** (-(ev.target_digits - 5))
@@ -423,26 +423,54 @@ def _evaluator(d, points):
 @given(
     z=st.floats(min_value=0, max_value=150),
     d=st.sampled_from([None, -3, -4, 5]),
-    points=st.sampled_from([7, 24, 48]),
+    k=st.integers(min_value=0, max_value=3),
 )
-def test_folded_cosine_sweep_matches_per_node_sum(z, d, points):
-    # the odd rule puts a centre node into each panel's even row
-    ev = _evaluator(d, points)
+def test_clenshaw_sweep_within_its_rounding_bound(z, d, k):
+    # the same integer coefficients summed term by term at 60 more digits
+    ev = _evaluator(d, 24)
     zv = mp.mpf(z)
-    for k in range(1, 5):
-        folded = ev._cosine(k, zv)
-        nodes, wphi = ev._level(k)[:2]
-        with mp.workdps(ev._dps):
-            direct = mp.fsum(wv * mp.cos(zv * t) for t, wv in zip(nodes, wphi))
-            size = mp.fsum(abs(wv) for wv in wphi)
-            assert abs(folded - direct) <= mp.mpf(10) ** (8 - ev._dps) * size, k
+    got = ev._sweep(k, zv)
+    h, a, _, sweep_err = ev._trapezoid(k)
+    assert len(a) == zeta._TRAPEZOID_INTERVALS * 2**k + 1
+    with mp.workdps(ev._dps + 60):
+        theta = zv * mp.make_mpf(h)
+        direct = mp.fsum(aj * mp.cos(j * theta) for j, aj in enumerate(a))
+        direct *= mp.make_mpf(h) / mp.mpf(2) ** ev._wp
+        assert abs(got - direct) <= sweep_err
+    assert sweep_err <= mp.mpf(10) ** (-(ev.target_digits + 20))
+
+
+def test_nested_levels_compute_each_node_once():
+    # level k sends only its new midpoints through the kernel
+    ev = XiEvaluator(prec=30)
+    real = zeta._phi_pass
+    seen = []
+
+    def counted(chi, t, dps, stop_abs=None):
+        seen.append(mp.mpf(t))
+        return real(chi, t, dps, stop_abs)
+
+    with mock.patch.object(zeta, "_phi_pass", counted):
+        level, _ = ev.calibrate_transform([40, 20, 12])
+        for k in range(level + 1):
+            ev._trapezoid(k)
+    n = zeta._TRAPEZOID_INTERVALS * 2**level
+    assert len(seen) == n + 1 == len(set(seen))
+    h = mp.make_mpf(ev._trapezoid(level)[0])
+    nodes = [j * h for j in range(n + 1)]
+    assert sorted(seen) == nodes
+    # the nested node error is h (err_0/2 + sum_j err_j) over the whole level
+    errs = [err for _, err in zeta._phi_nodes(None, nodes, ev._node_tol)]
+    with mp.workdps(30):
+        direct = h * (mp.fsum(errs) - errs[0] / 2)
+        assert abs(ev._trapezoid(level)[2] - direct) <= mp.mpf(10) ** -25 * direct
 
 
 @functools.lru_cache(maxsize=None)
 def _calibrated(d):
     # as xi_zeros builds and calibrates its evaluator
     chi = None if d is None else kronecker_character(d)
-    ev = XiEvaluator(chi=chi, prec=30, points=48)
+    ev = XiEvaluator(chi=chi, prec=30)
     ev.calibrate_transform([40, 20, 12])
     return ev
 
@@ -477,8 +505,8 @@ class _RecordingEvaluator(XiEvaluator):
 
 
 @functools.lru_cache(maxsize=None)
-def _xi_zeros_evaluator(d, count):
-    # the evaluator a 30-digit xi_zeros run built, calibrated and swept
+def _xi_zeros_evaluator(d, count, prec=30):
+    # the evaluator an xi_zeros run built, calibrated and swept
     chi = None if d is None else kronecker_character(d)
     made = []
 
@@ -487,7 +515,7 @@ def _xi_zeros_evaluator(d, count):
         return made[-1]
 
     with mock.patch.object(oracle, "XiEvaluator", build):
-        zero_list = xi_zeros(count, 30, chi)
+        zero_list = xi_zeros(count, prec, chi)
     (ev,) = made
     ev.zero_list = zero_list
     return ev
@@ -497,8 +525,15 @@ def _xi_zeros_evaluator(d, count):
 def test_calibration_locks_the_first_agreeing_level_and_builds_none_above(d, count):
     ev = _xi_zeros_evaluator(d, count)
     level, _ = ev.locked
-    assert level == 3
-    assert sorted(ev._levels) == list(range(1, level + 1))
+    assert sorted(ev._trapezoids) == list(range(level + 1))
+    with mp.workdps(ev._dps):
+        tol = mp.mpf(10) ** (-ev.target_digits)
+        gaps = [
+            max(abs(ev._sweep(k, mp.mpf(z)) - ev._sweep(k - 1, mp.mpf(z))) for z in ev.probes)
+            for k in range(1, level + 1)
+        ]
+    assert gaps[-1] <= tol
+    assert all(gap > tol for gap in gaps[:-1])
 
 
 @settings(
@@ -509,7 +544,8 @@ def test_calibration_locks_the_first_agreeing_level_and_builds_none_above(d, cou
 )
 @given(
     u=st.floats(min_value=0, max_value=1),
-    case=st.sampled_from([(None, 16), (-3, 2)]),
+    # (30, 50) scans the largest z the package sweeps at 50 digits
+    case=st.sampled_from([(None, 16), (-3, 2), (None, 30, 50)]),
 )
 def test_transform_at_xi_zeros_probes_within_its_printed_bound(u, case):
     # z runs from the scan start to t_end, the largest probe xi_zeros uses
@@ -523,8 +559,8 @@ def test_transform_at_xi_zeros_probes_within_its_printed_bound(u, case):
     assert abs(got - mp.re(want)) <= err
 
 
-# Zeta's kernel pass, level fold, moment pass and transform sweep in plain
-# mpf arithmetic: the reference their raw libmp code must match bit for bit.
+# Zeta's kernel pass, level weights and moment pass in plain mpf
+# arithmetic: the reference their raw libmp code must match bit for bit.
 
 
 def _mpf_fix(s, *xs):
@@ -583,8 +619,8 @@ def _mpf_phi_pass(chi, t, dps, stop_abs=None):
 
 
 @functools.lru_cache(maxsize=None)
-def _mpf_fold(ev, k):
-    # (wPhi, summed node error, offsets, panels) of level k, as _level built them
+def _mpf_level(ev, k):
+    # (wPhi, summed node error) of Gauss-Legendre level k, as _level built them
     grid = zeta.panel_grid(0, ev.t_cutoff, 2**k, ev.points, ev._dps)
     pairs = zeta._phi_nodes(ev.chi, [t for t, _ in grid], ev._node_tol)
     with mp.workdps(ev._dps):
@@ -592,32 +628,7 @@ def _mpf_fold(ev, k):
         err_sum = mp.zero
         for (_, w_node), (_, err) in zip(grid, pairs):
             err_sum += w_node * err
-        n, half = ev.points, ev.points // 2
-        offsets = [(grid[n - 1 - j][0] - grid[j][0]) / 2 for j in range(half)]
-        panels = []
-        for start in range(0, len(grid), n):
-            row = wphi[start:start + n]
-            right, left = row[::-1][:half], row[:half]
-            even = [a + b for a, b in zip(right, left)]
-            odd = [a - b for a, b in zip(right, left)]
-            if n % 2:
-                even.append(row[half])
-            mid = (grid[start][0] + grid[start + n - 1][0]) / 2
-            panels.append((mid, even, odd))
-        return wphi, +err_sum, offsets, panels
-
-
-def _mpf_cosine(ev, k, zv):
-    _, _, offsets, panels = _mpf_fold(ev, k)
-    with mp.workdps(ev._dps):
-        local = [mp.cos_sin(zv * u) for u in offsets]
-        cos_u = [c for c, _ in local] + [mp.one] * (ev.points % 2)
-        sin_u = [s for _, s in local]
-        acc = mp.zero
-        for mid, even, odd in panels:
-            c, s = mp.cos_sin(zv * mid)
-            acc += c * mp.fdot(even, cos_u) - s * mp.fdot(odd, sin_u)
-        return +acc
+        return wphi, +err_sum
 
 
 def _mpf_moment(ev, n):
@@ -626,7 +637,7 @@ def _mpf_moment(ev, n):
         tol = mp.mpf(10) ** (-ev.target_digits)
         prev = None
         for k in range(1, zeta._MAX_DOUBLINGS + 1):
-            nodes, wphi, err_sum = ev._level(k)[:3]
+            nodes, wphi, err_sum = ev._level(k)
             cur = mp.zero
             for t_node, wv in zip(nodes, wphi):
                 cur += wv * t_node ** (2 * n)
@@ -679,33 +690,15 @@ def test_raw_kernel_pass_bit_identical_to_mpf(d, u, relative, dps):
         assert _raw(zeta._phi_nodes(chi, [t], tol)[0]) == _raw(_phi_with_error_per_node(chi, t, tol))
 
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    # the autouse 90-digit ambient fixture holds for every example alike
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    z=st.floats(min_value=0, max_value=150),
-    d=st.sampled_from([None, -3, -4, 5]),
-    points=st.sampled_from([7, 24, 48]),
-)
-def test_raw_fold_and_sweep_bit_identical_to_mpf(z, d, points):
-    # the odd rule puts a centre node into each panel's even row
+@pytest.mark.parametrize("d", [None, -3, -4, 5])
+@pytest.mark.parametrize("points", [7, 24, 48])
+def test_raw_level_weights_bit_identical_to_mpf(d, points):
     ev = _evaluator(d, points)
-    zv = mp.mpf(z)
     for k in range(1, 4):
-        got = ev._cosine(k, zv)
-        nodes, wphi, err_sum, offsets, panels = ev._level(k)
-        ref_wphi, ref_err, ref_offsets, ref_panels = _mpf_fold(ev, k)
+        _, wphi, err_sum = ev._level(k)
+        ref_wphi, ref_err = _mpf_level(ev, k)
         assert _raw(wphi) == _raw(ref_wphi)
         assert err_sum._mpf_ == ref_err._mpf_
-        assert list(offsets) == _raw(ref_offsets)
-        for (mid, *rows), (ref_mid, *ref_rows) in zip(panels, ref_panels, strict=True):
-            assert mid == ref_mid._mpf_
-            for (ints, exp, _), ref_row in zip(rows, ref_rows):
-                assert [libmp.from_man_exp(v, exp) for v in ints] == _raw(ref_row)
-        assert got._mpf_ == _mpf_cosine(ev, k, zv)._mpf_
 
 
 @pytest.mark.parametrize("d", [None, -3, -4, 5])
@@ -714,7 +707,7 @@ def test_raw_moment_pass_bit_identical_to_mpf(d):
     for n in (0, 1, 7, 12):
         assert _raw(ev.moment(n)) == _raw(_mpf_moment(ev, n))
     for k in ev._levels:
-        wphi, err_sum = _mpf_fold(ev, k)[:2]
+        wphi, err_sum = _mpf_level(ev, k)
         assert _raw(ev._level(k)[1]) == _raw(wphi)
         assert ev._level(k)[2]._mpf_ == err_sum._mpf_
 
@@ -723,7 +716,9 @@ FROZEN = json.loads(Path(__file__).with_name("zeta_frozen.json").read_text())
 
 
 def test_tables_and_zeros_equal_values_frozen_from_the_mpf_code(riemann_table):
-    # exact mpf tuples recorded from the plain mpf arithmetic of the xi layer
+    # exact mpf tuples recorded from the plain mpf arithmetic of the xi layer;
+    # the zeros were recorded from a Gauss-Legendre transform, so they hold
+    # to the list's tol
     tables = {
         "riemann_moments(4, 50)": riemann_table,
         "riemann_moments(12, 50)": riemann_moments(12, 50),
@@ -733,14 +728,17 @@ def test_tables_and_zeros_equal_values_frozen_from_the_mpf_code(riemann_table):
         for field in ("b", "beta", "quadrature_error"):
             assert [list(v) for v in _raw(getattr(tab, field))] == FROZEN[name][field], (name, field)
     zl = _xi_zeros_evaluator(None, 16).zero_list
-    for field in ("zeros", "residuals"):
-        assert [list(v) for v in _raw(getattr(zl, field))] == FROZEN["xi_zeros(16, 30)"][field], field
     assert [list(zl.tol._mpf_)] == FROZEN["xi_zeros(16, 30)"]["tol"]
+    frozen = [mp.make_mpf(tuple(v)) for v in FROZEN["xi_zeros(16, 30)"]["zeros"]]
+    assert len(zl.zeros) == len(frozen) == 16
+    for n, (z, old) in enumerate(zip(zl.zeros, frozen), 1):
+        assert abs(z - old) <= zl.tol, n
 
 
 def test_perfbench_hook_points_stay_on_the_call_path(monkeypatch):
     # perfbench/tracing.py replaces these names to count quadrature nodes,
-    # the locked level and the sweeps per zero
+    # the locked level and the sweeps per zero; the transform's trapezoid
+    # levels need no panel grid
     calls = collections.Counter()
 
     def wrap(owner, name):
@@ -759,9 +757,16 @@ def test_perfbench_hook_points_stay_on_the_call_path(monkeypatch):
     assert calls["panel_grid"] >= 2
     calls.clear()
     zl = xi_zeros(2, 30)
-    assert calls["panel_grid"] >= 2
     assert calls["calibrate_transform"] == 1
     assert calls["transform_at"] >= zl.count
+
+
+def test_xi_zeros_50_at_30_digits_match_zetazero():
+    zl = xi_zeros(50, 30)
+    assert zl.count == 50
+    with mp.workdps(25):
+        for n, z in enumerate(zl.zeros, 1):
+            assert abs(z - mp.zetazero(n).imag) <= zl.tol, n
 
 
 @pytest.mark.parametrize("d", [None, -3, 5])
