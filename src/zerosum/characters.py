@@ -3,12 +3,15 @@
 The quadratic character attached to a fundamental discriminant d is the
 Kronecker symbol (d/n); its modulus is |d| and it is even (parity 0) for
 d > 0, odd (parity 1) for d < 0.  Character tables are validated for
-complete multiplicativity and primitivity at construction time.
+integer values, complete multiplicativity and primitivity at construction
+time, exactly; the zeta layer takes no other proof that a table gives an
+even kernel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, NotFundamentalError
@@ -75,9 +78,9 @@ def is_fundamental_discriminant(d):
 class DirichletCharacter:
     """Real character table chi(0..m-1) to modulus m.
 
-    values[k] must be 0 exactly when gcd(k, m) > 1, the table must be
-    completely multiplicative, and the character must be primitive
-    (not induced from any proper divisor of m).
+    values must be integers, values[k] must be 0 exactly when gcd(k, m) >
+    1, the table must be completely multiplicative, and the character must
+    be primitive (not induced from any proper divisor of m).
     """
 
     modulus: int
@@ -88,7 +91,10 @@ class DirichletCharacter:
         m = self.modulus
         if not isinstance(m, int) or m < 2:
             raise DomainError(f"modulus must be an integer >= 2, got {m!r}")
-        vals = tuple(int(v) for v in self.values)
+        try:  # integers only: int() would truncate 0.4 to 0 and -1.9 to -1
+            vals = tuple(operator.index(v) for v in self.values)
+        except TypeError:
+            raise DomainError(f"character values must be integers, got {self.values!r}") from None
         object.__setattr__(self, "values", vals)
         if len(vals) != m:
             raise DomainError(f"character table must have length {m}, got {len(vals)}")

@@ -1085,11 +1085,7 @@ def _ordinate_for_count(count):
         x = t / (2 * math.pi)
         g = _smooth_zero_count(t) - count
         dg = math.log(x) / (2 * math.pi)
-        if dg <= 0:
-            t += 5.0
-            continue
-        t -= g / dg
-        t = max(t, 15.0)
+        t = max(t - g / dg, 15.0)
     return t
 
 

@@ -19,8 +19,9 @@ each kernel is summed at -|t|, where the theta argument exp(2|t|) is at
 least 1: the series converges doubly exponentially, its largest term is
 within a few digits of its value, and one pass at fixed working digits
 meets the target.  A table that is not a real primitive character breaks
-the symmetry, so every kernel of a caller's character is gated by the
-theta self-check first.
+the symmetry, so every kernel of a caller's character takes only a
+`DirichletCharacter`, whose constructor proves the table real, completely
+multiplicative and primitive; anything else raises DomainError.
 
 The theta series is summed on integers scaled to its first term
 (`_theta_sum`); every node's error bound includes the pass's rounding bound.
@@ -42,6 +43,7 @@ from mpmath.libmp import (
     to_fixed,
 )
 
+from .characters import DirichletCharacter
 from .errors import (
     AccuracyError,
     DomainError,
@@ -264,11 +266,10 @@ def phi_riemann(t, prec=DEFAULT_PREC, abs_tol=None):
 def phi_chi(t, chi, prec=DEFAULT_PREC, abs_tol=None):
     """Dirichlet heat-kernel density at t for a real primitive character.
 
-    The table is gated by the theta self-check, once per table and
-    precision; modes as in phi_riemann.
+    chi must be a DirichletCharacter; modes as in phi_riemann.
     """
     check_precision(prec)
-    _theta_gate(chi, prec)
+    _check_character(chi)
     if abs_tol is not None:
         return _phi_with_error(chi, t, abs_tol)[0]
     return _phi_relative(chi, t, prec)
@@ -280,8 +281,7 @@ def theta_selfcheck(chi, x, prec=DEFAULT_PREC):
     Even characters must satisfy S(x) = S(1/x)/sqrt(x), odd ones
     T(x) = T(1/x)/x^(3/2), where S/T are the (n-weighted) theta sums.
     A genuine primitive table drives the residual to roundoff; anything
-    else leaves an O(1) residual, which is why this doubles as the
-    primitivity gate for user-supplied tables.
+    else leaves an O(1) residual.
     """
     check_precision(prec)
     with working(prec, 25):
@@ -301,36 +301,14 @@ def theta_selfcheck(chi, x, prec=DEFAULT_PREC):
         return +abs(lhs - rhs)
 
 
-_THETA_GATE_POINTS = ("0.5", "1", "2")
-
-# (modulus, parity, table over one period, prec) of every table that has
-# passed the gate: chi(n) has period modulus, so the key fixes every kernel
-# the table feeds.  A failing table is never recorded.
-_GATE_PASSED = set()
-
-
-def _theta_gate(chi, prec):
-    # summing at -|t| is exact only for a real primitive character; an
-    # all-zero table meets the functional equation trivially, so chi(1)
-    # is checked first
-    key = (chi.modulus, chi.parity, tuple(chi(n) for n in range(chi.modulus)), prec)
-    if key in _GATE_PASSED:
-        return
-    if chi(1) != 1:
+def _check_character(chi):
+    # the kernel is even, and so summed at -|t|, only for a real primitive
+    # character, which DirichletCharacter's constructor proves exactly
+    if not isinstance(chi, DirichletCharacter):
         raise DomainError(
-            f"character table has chi(1) = {chi(1)}; table is not a real "
-            "primitive character"
+            f"expected a DirichletCharacter, got {type(chi).__name__}; only a "
+            "real primitive character table gives an even kernel"
         )
-    for x in _THETA_GATE_POINTS:
-        residual = theta_selfcheck(chi, x, prec)
-        with mp.workdps(40):
-            if residual > mpf(10) ** (-(prec - 10)):
-                raise DomainError(
-                    f"character table fails the theta self-check at x = {x} "
-                    f"(residual {mp.nstr(residual, 5)}); table is not a real "
-                    "primitive character"
-                )
-    _GATE_PASSED.add(key)
 
 
 def _solve_t_cutoff(m, alpha, const, target, order):
@@ -358,8 +336,8 @@ def _tail_bound(m, alpha, const, t_cut, order):
 class XiEvaluator:
     """Cosine transform and moment table of one kernel, with cached grids.
 
-    chi = None selects the Riemann kernel; any other chi must pass the
-    theta self-check, or DomainError is raised.  The kernel values at the
+    chi = None selects the Riemann kernel; any other chi must be a
+    DirichletCharacter, or DomainError is raised.  The kernel values at the
     nodes are computed once per refinement level and reused across every
     moment order and every transform argument.  Integrals aim at prec +
     15 digits; `points` is the Gauss-Legendre rule size of every moment
@@ -369,7 +347,7 @@ class XiEvaluator:
     def __init__(self, chi=None, prec=DEFAULT_PREC, points=24):
         check_precision(prec)
         if chi is not None:
-            _theta_gate(chi, prec)
+            _check_character(chi)
         self.chi = chi
         self.prec = prec
         m, alpha, const = _kernel_shape(chi)
@@ -596,7 +574,7 @@ def riemann_moments(order, prec=DEFAULT_PREC):
 
 
 def dirichlet_moments(chi, order, prec=DEFAULT_PREC):
-    """Moment table of a Dirichlet kernel, gated by the theta self-check."""
+    """Moment table of the Dirichlet kernel of a DirichletCharacter."""
     return XiEvaluator(chi=chi, prec=prec).moment_table(order)
 
 

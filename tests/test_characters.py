@@ -115,6 +115,14 @@ def test_character_validation_rejects_bad_tables():
         DirichletCharacter(modulus=3, values=(0, 1, 2))
 
 
+def test_character_validation_rejects_non_integer_values():
+    # int() would truncate each of these to the table of chi_-3
+    for values in ((0.4, 1, -1), (0, 1, -1.9), (0, 1.0, -1), (0, "1", -1)):
+        with pytest.raises(DomainError):
+            DirichletCharacter(modulus=3, values=values)
+    assert DirichletCharacter(modulus=3, values=[0, 1, -1]).values == (0, 1, -1)
+
+
 def test_validation_modulus_cap():
     # 1004 = 4 * 251 with 251 = 3 mod 4, so it is fundamental, but the
     # table validator refuses moduli above its cap

@@ -199,13 +199,11 @@ def test_verify_builds_the_moment_table_once(runner, monkeypatch, family):
     counting(cli_mod, "riemann_moments")
     counting(cli_mod, "dirichlet_moments")
     counting(zeta_mod, "theta_selfcheck")
-    # no verdict cached by an earlier test: the gate must run here
-    monkeypatch.setattr(zeta_mod, "_GATE_PASSED", set())
     res = _invoke(runner, ["verify", *family, "--order", "2", "--precision", "30"])
     assert res.exit_code == 0
     assert calls.count("riemann_moments") + calls.count("dirichlet_moments") == 1
-    gates = 1 if family[1] == "dirichlet" else 0
-    assert calls.count("theta_selfcheck") == gates * len(zeta_mod._THETA_GATE_POINTS)
+    # the character's type is its only check: no theta self-check is summed
+    assert "theta_selfcheck" not in calls
 
 
 def test_verify_reports_failure_with_exit_1(runner, monkeypatch):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -20,11 +22,13 @@ from hypothesis import strategies as st
 from mpmath import libmp, mp
 
 from zerosum import (
+    DirichletCharacter,
     DomainError,
     LimitExceededError,
     MomentTable,
     XiEvaluator,
     dirichlet_moments,
+    is_fundamental_discriminant,
     kronecker_character,
     phi_chi,
     phi_riemann,
@@ -380,32 +384,56 @@ def test_every_character_kernel_path_rejects_impostor_tables():
             xi_zeros(2, 40, chi=fake)
 
 
-def test_theta_gate_passes_a_table_once_and_never_an_impostor(monkeypatch):
-    checks = []
+def test_character_paths_take_the_type_as_their_only_check(monkeypatch):
+    # no path sums a theta self-check: the DirichletCharacter type is the gate
+    calls = []
     real = zeta.theta_selfcheck
 
-    def spy(chi, x, prec):
-        checks.append(chi)
-        return real(chi, x, prec)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(zeta, "theta_selfcheck", spy)
-    monkeypatch.setattr(zeta, "_GATE_PASSED", set())
-    chi = kronecker_character(5)
-    fake = _Impostor()
-    assert (fake.modulus, fake.parity) == (chi.modulus, chi.parity)
-    first = phi_chi("0.5", chi, 40)
-    assert checks and all(c is chi for c in checks)
-    checks.clear()
-    assert phi_chi("0.5", chi, 40) == first
+    chi = kronecker_character(-3)
+    assert phi_chi("0.5", chi, 40) > 0
     assert phi_chi("0.7", chi, 40, abs_tol="1e-40") > 0
-    assert not checks  # the passing verdict is reused
-    for _ in range(3):
+    XiEvaluator(chi=chi, prec=30)
+    dirichlet_moments(chi, 2, 30)
+    assert len(xi_zeros(2, 30, chi=chi).zeros) == 2
+    for fake in (_Impostor(), _ZeroTable()):
         with pytest.raises(DomainError):
-            phi_chi("0.5", fake, 40)
-    assert checks.count(fake) == 3  # gated afresh on every call
-    checks.clear()
-    phi_chi("0.5", chi, 50)  # a new precision is gated again
-    assert checks
+            dirichlet_moments(fake, 2, 40)
+    assert not calls
+
+
+def _unit_tables(m):
+    # every table with values +-1 on the units mod m and 0 elsewhere
+    units = [k for k in range(m) if math.gcd(k, m) == 1]
+    for signs in itertools.product((1, -1), repeat=len(units)):
+        values = [0] * m
+        for k, sign in zip(units, signs):
+            values[k] = sign
+        yield tuple(values)
+
+
+def test_accepted_tables_are_exactly_the_kronecker_characters():
+    # the constructor alone proves a table real and primitive, which the
+    # kernel's evenness needs: for 3 <= m <= 16 it accepts the tables of
+    # the fundamental d in {m, -m} and nothing else
+    accepted = []
+    for m in range(3, 17):
+        got = []
+        for values in _unit_tables(m):
+            try:
+                got.append(DirichletCharacter(modulus=m, values=values))
+            except DomainError:
+                pass
+        want = {kronecker_character(d).values for d in (m, -m) if is_fundamental_discriminant(d)}
+        assert {chi.values for chi in got} == want, m
+        accepted += got
+    assert sorted(chi.modulus for chi in accepted) == [3, 4, 5, 7, 8, 8, 11, 12, 13, 15]
+    for chi in accepted:
+        assert theta_selfcheck(chi, 2, 30) < mp.mpf("1e-20")
 
 
 @functools.lru_cache(maxsize=None)
