@@ -1073,75 +1073,77 @@ def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
         )
 
 
-def _smooth_zero_count(t):
-    # smooth critical-line counting term (T/2pi) ln(T/2pi) - T/2pi + 7/8
+def _smooth_zero_count(t, m, c):
+    # smooth counting term (t/2pi) ln(m t/2pi) - t/2pi + c (Davenport, ch. 16)
     x = t / (2 * math.pi)
-    return x * math.log(x) - x + 0.875
+    return x * math.log(m * x) - x + c
 
 
-def _ordinate_for_count(count):
+def _ordinate_for_count(count, m, c):
+    # the clamp keeps m t/2pi > 1, where the count rises
     t = 20.0
     for _ in range(60):
         x = t / (2 * math.pi)
-        g = _smooth_zero_count(t) - count
-        dg = math.log(x) / (2 * math.pi)
-        t = max(t - g / dg, 15.0)
+        g = _smooth_zero_count(t, m, c) - count
+        dg = math.log(m * x) / (2 * math.pi)
+        t = max(t - g / dg, 15.0 / m)
     return t
 
 
 def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
     """First `count` positive ordinates where the cosine transform vanishes.
 
-    Scans [10, T] in 0.5 steps (T from the smooth counting term), refines
-    inside the bracket on the transform's calibrated trapezoid level, one
-    integer sweep per evaluation, and cross-checks the found count against
-    the smooth counting term within +-2, rescanning once with a halved
-    step on mismatch.  Only positive ordinates are reported.  For a
-    Dirichlet kernel (chi set) the scan starts near 0 and no counting
-    cross-check is available.
+    One scan serves zeta (chi None) and L(s, chi) of conductor m and
+    parity a, sized by the smooth count N(t) = (t/2pi) ln(m t/2pi) -
+    t/2pi + c, with c = 7/8 for zeta and (2a - 1)/8 for L(s, chi).  It
+    runs from 10 (zeta has no zero below 14.13) or 0 (L) to N^-1(count +
+    1) + 2 in steps of min(1/2, s/4), s = 2pi / ln(max(m x/2pi, e)) the
+    mean spacing, and refines each bracket with one trapezoid sweep per
+    evaluation.  Unless found - N lies in [-1, 2] just above the last
+    ordinate, it rescans once at half the step, then raises AccuracyError.
+    |S(t)| can exceed 1, so this check is an estimate, not a proof.
     """
     family = "xi" if chi is None else "xi-dirichlet"
     _check_count(count, family, prec)
     ev = XiEvaluator(chi=chi, prec=prec)
+    # (conductor, counting constant, scan start); zeta's pole adds 1 to c
+    m, c, scan_lo = (1, 0.875, 10) if chi is None else (chi.modulus, (2 * chi.parity - 1) / 8, 0)
     with working(prec, 15):
-        if chi is None:
-            t_end = _ordinate_for_count(count + 1) + 2.0
-            scan_lo = mpf(10)
-        else:
-            t_end = 18.0 + 3.2 * count
-            scan_lo = mpf(1) / 4
+        t_end = _ordinate_for_count(count + 1, m, c) + 2.0
         _, bulk_err = ev.calibrate_transform([t_end, t_end / 2, max(12.0, t_end / 5)])
 
         def f(z):
             return ev.transform_at(z)[0]
 
+        def step(x, scale):
+            spacing = 2 * math.pi / math.log(max(m * float(x) / (2 * math.pi), math.e))
+            return scale * min(0.5, spacing / 4)
+
+        def excess(zeros):
+            # found minus the smooth count just above the last ordinate
+            return len(zeros) - _smooth_zero_count(float(zeros[-1]) + 0.01, m, c)
+
         xtol = mpf(10) ** (-(prec // 2))
-
-        def run_scan(step):
-            budget = int(float((mpf(t_end) - scan_lo) / step)) + 8
-            return _locate(
-                f, count, xtol, scan_lo, lambda x, _: x + step, budget, "xi", partial=True
+        for scale in (1, 0.5):
+            budget = int((t_end - scan_lo) / step(t_end, scale)) + 8
+            zeros, residuals = _locate(
+                f, count, xtol, mpf(scan_lo), lambda x, _: x + step(x, scale), budget, "xi",
+                partial=True,
             )
-
-        step = mpf(1) / 2
-        zeros, residuals = run_scan(step)
-        if chi is None and zeros:
-            smooth = _smooth_zero_count(float(zeros[-1]) + 0.01)
-            if abs(smooth - len(zeros)) > 2:
-                zeros, residuals = run_scan(step / 2)
-                smooth = _smooth_zero_count(float(zeros[-1]) + 0.01)
-                if abs(smooth - len(zeros)) > 2:
-                    raise AccuracyError(
-                        f"found {len(zeros)} ordinates but the counting term "
-                        f"predicts {smooth:.2f}; zeros were likely missed"
-                    )
+            if not zeros or -1 <= excess(zeros) <= 2:
+                break
+        else:
+            raise AccuracyError(
+                f"found {len(zeros)} ordinates, {excess(zeros):+.2f} off the counting "
+                "term; zeros were likely missed"
+            )
         if len(zeros) < count:
             raise ScanExhaustedError(
                 f"located {len(zeros)} of {count} ordinates below {t_end:.1f}"
             )
         return _zero_list(
             family, zeros, residuals, prec, xtol,
-            f"transform error bound {mp.nstr(bulk_err, 3)}", 1 if chi is None else chi.modulus,
+            f"transform error bound {mp.nstr(bulk_err, 3)}", m,
         )
 
 

@@ -79,15 +79,15 @@ def _bernoulli_table(upto):
     return tuple(table)
 
 
-def bernoulli(k, max_k=BERNOULLI_MAX_INDEX):
+def bernoulli(k):
     """Exact Bernoulli number B_k as a Fraction (B_1 = -1/2 convention)."""
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"Bernoulli index must be a non-negative integer, got {k!r}")
-    if k > max_k:
+    if k > BERNOULLI_MAX_INDEX:
         raise LimitExceededError(
-            f"Bernoulli index {k} exceeds the supported maximum {max_k}"
+            f"Bernoulli index {k} exceeds the supported maximum {BERNOULLI_MAX_INDEX}"
         )
-    return _bernoulli_table(max_k)[k]
+    return _bernoulli_table(BERNOULLI_MAX_INDEX)[k]
 
 
 def pochhammer(a, n, prec=DEFAULT_PREC):

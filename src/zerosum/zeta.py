@@ -227,11 +227,6 @@ def _phi_nodes(chi, ts, abs_tol):
     return pairs
 
 
-def _phi_with_error(chi, t, abs_tol):
-    """Kernel value and a certified absolute error bound below abs_tol."""
-    return _phi_nodes(chi, (t,), abs_tol)[0]
-
-
 def _phi_relative(chi, t, prec):
     """Kernel value verified to `prec` significant digits."""
     dps = prec + 18
@@ -256,7 +251,7 @@ def phi_riemann(t, prec=DEFAULT_PREC, abs_tol=None):
     """
     check_precision(prec)
     if abs_tol is not None:
-        return _phi_with_error(None, t, abs_tol)[0]
+        return _phi_nodes(None, (t,), abs_tol)[0][0]
     value = _phi_relative(None, t, prec)
     if not value > 0:
         raise AccuracyError(f"kernel density came out non-positive at t = {t}")
@@ -271,7 +266,7 @@ def phi_chi(t, chi, prec=DEFAULT_PREC, abs_tol=None):
     check_precision(prec)
     _check_character(chi)
     if abs_tol is not None:
-        return _phi_with_error(chi, t, abs_tol)[0]
+        return _phi_nodes(chi, (t,), abs_tol)[0][0]
     return _phi_relative(chi, t, prec)
 
 

@@ -43,6 +43,7 @@ from zerosum.oracle import (
     truncated_power_sum,
     xi_zeros,
 )
+from zerosum.zeta import XiEvaluator
 
 from conftest import rel_err
 
@@ -828,6 +829,44 @@ def test_dirichlet_xi_zeros_first_ordinate():
     assert zl.family == "xi-dirichlet"
     assert zl.modulus == 3
     assert abs(zl.zeros[0] - mp.mpf(DIRICHLET3_Z1)) < mp.mpf("1e-22")
+
+
+@pytest.mark.parametrize(
+    "d, want",
+    # first ordinates below 1/4, by mpmath.findroot on the completed
+    # L(1/2 + it, chi) built from mpmath.dirichlet
+    [(-163, "0.20290133749879861298"), (-427, "0.24992497656935574437")],
+)
+def test_dirichlet_scan_finds_ordinates_near_zero(d, want):
+    zl = xi_zeros(4, 30, chi=kronecker_character(d))
+    assert abs(zl.zeros[0] - mp.mpf(want)) < zl.tol
+
+
+def test_dirichlet_scan_keeps_a_close_pair():
+    # ordinates 12 and 13 of L(s, chi_173) lie 0.26 apart; references by
+    # mpmath.findroot on the completed L(1/2 + it, chi) from mpmath.dirichlet
+    zl = xi_zeros(14, 30, chi=kronecker_character(173))
+    want = ("15.477691219167410127", "15.739229071003357223", "16.65741803360815727")
+    for got, ref in zip(zl.zeros[11:], want):
+        assert abs(got - mp.mpf(ref)) < zl.tol
+
+
+@pytest.mark.parametrize("d", [24, -287, -311, 305])
+def test_dirichlet_scan_misses_no_sign_change(d):
+    # every sign change of the scanned transform on a 0.02 grid is listed
+    made = []
+
+    def build(*args, **kwargs):
+        made.append(XiEvaluator(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(oracle_module, "XiEvaluator", build):
+        zl = xi_zeros(20, 30, chi=kronecker_character(d))
+    (ev,) = made
+    grid = [mp.mpf(k) / 50 for k in range(int((zl.zeros[-1] + mp.mpf("0.05")) * 50) + 1)]
+    signs = [mp.sign(ev.transform_at(z)[0]) for z in grid]
+    assert 0 not in signs
+    assert len(zl.zeros) == sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def test_xi_count_cap():

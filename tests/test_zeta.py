@@ -806,7 +806,6 @@ def test_batched_kernel_nodes_bit_identical_to_single_nodes(d):
     for t, pair in zip(ts, batched):
         want = _phi_with_error_per_node(chi, t, tol)
         assert [v._mpf_ for v in pair] == [v._mpf_ for v in want]
-        assert [v._mpf_ for v in zeta._phi_with_error(chi, t, tol)] == [v._mpf_ for v in want]
         public = phi_riemann(t, 30, abs_tol=tol) if d is None else phi_chi(t, chi, 30, abs_tol=tol)
         assert public._mpf_ == want[0]._mpf_
 
