@@ -251,17 +251,13 @@ def _params_payload(cfg):
     return out
 
 
-def _moment_table(cfg):
-    """The kernel moment table of zeta or dirichlet; None for other families."""
-    build = FAMILIES[cfg.function].moments
-    return None if build is None else build(cfg)
-
-
-def _series_for(cfg):
+def _coefficients(cfg):
+    """The family's coefficient series and kernel moment table (None if it has none)."""
     family = FAMILIES[cfg.function]
-    if family.sigmas is None:
-        return family.moments(cfg).series()
-    return family.sigmas(cfg)
+    if family.moments is None:
+        return family.sigmas(cfg), None
+    table = family.moments(cfg)
+    return table.series(), table
 
 
 def _locate_zeros(cfg, count):
@@ -418,7 +414,7 @@ def _family_command(name):
 )
 def cmd_sums(cfg, show_sigmas):
     """Compute power sums of reciprocal (squared) zeros."""
-    series = _series_for(cfg)
+    series, _ = _coefficients(cfg)
     p = cfg.precision
     orders = range(1, cfg.order + 1)
     reports = {}
@@ -456,8 +452,7 @@ def cmd_sums(cfg, show_sigmas):
 def _verify_checks(cfg, oracle_flag, count):
     p = cfg.precision
     checks = []
-    table = _moment_table(cfg)
-    series = _series_for(cfg) if table is None else table.series()
+    series, table = _coefficients(cfg)
     tol = mp.mpf(10) ** (-(p - 15))
 
     rec = power_sums_recurrence(series)
@@ -536,7 +531,7 @@ def cmd_moments(cfg):
         covered = " and ".join(f for f, family in FAMILIES.items() if family.moments)
         raise ConfigurationError(f"moments apply only to {covered}, not {cfg.function}")
     p = cfg.precision
-    table = _moment_table(cfg)
+    _, table = _coefficients(cfg)
     params = _params_payload(cfg)
     params["parity"] = table.parity
     header = ["n", "b", "beta", "error_bound"]

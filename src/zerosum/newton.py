@@ -171,17 +171,20 @@ def determinant(rows, prec=DEFAULT_PREC):
 
 
 def power_sums_determinant(series, scale=-1, order=None):
-    """Power sums via scaled determinants, independent of the recurrence."""
+    """Power sums via scaled determinants, independent of the recurrence.
+
+    M_n is rows 1..n of the order-N matrix, with its first n - 1 columns
+    and its last column.
+    """
     order = _resolve_order(series, order)
     prec = series.precision
     with working(prec, 15):
         c = to_real(scale, prec)
-        if c == 0:
-            raise ZeroScaleError("determinant route requires a nonzero scale c")
-        values = []
-        for n in range(1, order + 1):
-            rows = lower_triangular_system_matrix(series.sigmas, c, n, prec)
-            values.append(+(c**n * determinant(rows, prec)))
+        rows = lower_triangular_system_matrix(series.sigmas, c, order, prec)
+        values = [
+            +(c**n * determinant([r[: n - 1] + r[-1:] for r in rows[:n]], prec))
+            for n in range(1, order + 1)
+        ]
     return PowerSumReport(
         values=tuple(values),
         method=METHOD_DETERMINANT,

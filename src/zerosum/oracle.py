@@ -916,7 +916,6 @@ _FAMILIES = {
     ),
 }
 _FAMILIES["qbessel"] = _FAMILIES["qairy"]._replace(mode=MODE_SQUARED)
-_FAMILIES["xi-dirichlet"] = _FAMILIES["xi"]
 
 
 def _check_count(count, family, prec):
@@ -1103,8 +1102,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
     ordinate, it rescans once at half the step, then raises AccuracyError.
     |S(t)| can exceed 1, so this check is an estimate, not a proof.
     """
-    family = "xi" if chi is None else "xi-dirichlet"
-    _check_count(count, family, prec)
+    _check_count(count, "xi", prec)
     ev = XiEvaluator(chi=chi, prec=prec)
     # (conductor, counting constant, scan start); zeta's pole adds 1 to c
     m, c, scan_lo = (1, 0.875, 10) if chi is None else (chi.modulus, (2 * chi.parity - 1) / 8, 0)
@@ -1142,7 +1140,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
                 f"located {len(zeros)} of {count} ordinates below {t_end:.1f}"
             )
         return _zero_list(
-            family, zeros, residuals, prec, xtol,
+            "xi", zeros, residuals, prec, xtol,
             f"transform error bound {mp.nstr(bulk_err, 3)}", m,
         )
 

@@ -22,6 +22,7 @@ from zerosum import (
     determinant,
     elementary_symmetric_finite,
     lower_triangular_system_matrix,
+    newton,
     power_sums_determinant,
     power_sums_recurrence,
     to_real,
@@ -199,6 +200,24 @@ def test_determinant_route_matches_recurrence_and_scales(rng):
                 assert rel_err(det.value(n), rec.value(n)) < mp.mpf("1e-45")
     with pytest.raises(ZeroScaleError):
         power_sums_determinant(_rational_series([Fraction(1)], 1), scale=0)
+
+
+def test_determinant_route_builds_one_matrix(monkeypatch):
+    # every M_n is cut from the order-N matrix: one build per call, not N
+    builds = []
+    real = newton.lower_triangular_system_matrix
+
+    def counted(*args):
+        builds.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(newton, "lower_triangular_system_matrix", counted)
+    series = series_from_finite([Fraction(k, 23) for k in range(1, 21)], 20, 50)
+    report = power_sums_determinant(series, scale="-0.25")
+    assert builds == [20]
+    want = power_sums_recurrence(series)
+    for n in range(1, 21):
+        assert rel_err(report.value(n), want.value(n)) < mp.mpf("1e-40")
 
 
 def test_order_handling():

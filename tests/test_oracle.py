@@ -826,7 +826,7 @@ def test_xi_zeros_match_zetazero_ordinates():
 def test_dirichlet_xi_zeros_first_ordinate():
     chi = kronecker_character(-3)
     zl = xi_zeros(2, 50, chi=chi)
-    assert zl.family == "xi-dirichlet"
+    assert zl.family == "xi"
     assert zl.modulus == 3
     assert abs(zl.zeros[0] - mp.mpf(DIRICHLET3_Z1)) < mp.mpf("1e-22")
 

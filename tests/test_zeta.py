@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import importlib.util
 import itertools
 import json
 import math
@@ -39,6 +40,8 @@ from zerosum import (
     xi_zeros,
 )
 
+import zerosum
+import zerosum.cli
 from zerosum import oracle, zeta
 from zerosum.precision import to_real
 
@@ -787,6 +790,22 @@ def test_perfbench_hook_points_stay_on_the_call_path(monkeypatch):
     zl = xi_zeros(2, 30)
     assert calls["calibrate_transform"] == 1
     assert calls["transform_at"] >= zl.count
+
+    # the tracer itself: it wraps names in zerosum, zerosum.cli and zeta and
+    # reads XiEvaluator.points, so a rename fails only its traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, zerosum)
+        ev = XiEvaluator(prec=30)
+        ev.calibrate_transform([20])
+        ev.transform_at(20)
+    finally:
+        tracer.restore()
+    assert {"zeta.calibrate", "zeta.sweep"} <= {span["name"] for span in tracer.spans}
 
 
 def test_xi_zeros_50_at_30_digits_match_zetazero():
