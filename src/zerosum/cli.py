@@ -586,9 +586,13 @@ def cmd_oracle(cfg, count):
     zeros = [mp.nstr(z, p) for z in zl.zeros]
     residuals = [mp.nstr(r, 3) for r in zl.residuals]
     rows = list(zip(range(1, len(zeros) + 1), zeros, residuals))
+    # the zeros print to full precision but are certified only to the list's tol
+    tol = mp.nstr(zl.tol, 3)
+    within = "tol" if zl.tol_kind == "absolute" else "tol * z (relative)"
     text = [f"# zeros: {cfg.function}, precision {p}, count {zl.count}"]
     if zl.note:
         text.append(f"# {zl.note}")
+    text.append(f"# tol {tol}: each zero z is certified to within {within}, not to every digit")
     text += [f"zero[{k}] = {z}  (residual {r})" for k, z, r in rows]
     text += [
         f"s[{s['n']}] = {s['estimate']} +- {s['error_bound']}  (mode {s['mode']}) "
@@ -597,7 +601,7 @@ def cmd_oracle(cfg, count):
     ]
     _emit(
         cfg,
-        {"count": zl.count, "zeros": zeros, "residuals": residuals, "sums": sums},
+        {"count": zl.count, "tol": tol, "zeros": zeros, "residuals": residuals, "sums": sums},
         ["k", "zero", "residual"],
         rows,
         text,

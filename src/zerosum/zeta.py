@@ -8,9 +8,12 @@ with the panel count doubled until two successive refinements agree.
 The cosine transform uses the trapezoid rule h (Phi(0)/2 + sum_j Phi(j h)
 cos(j z h)), which converges exponentially because Phi is even and
 analytic in the strip |Im t| < pi/4 (Trefethen and Weideman, SIAM Rev.
-56 (2014)).  Its levels halve h, so each level reuses the kernel values
-of the one below and computes only its new midpoints, and a sweep at z
-is one Clenshaw recurrence on integers with a single cosine.
+56 (2014), Thm 5.1).  Its levels halve h, so each level reuses the kernel
+values of the one below and computes only its new midpoints, and a sweep
+at z is one Clenshaw recurrence on integers with a single cosine.  The
+level is chosen before any sweep: that theorem bounds its error through
+the integral of |Phi| along the strip, which `_strip_majorant` bounds in
+closed form from the theta series.
 
 Both kernels are even in t: for the Riemann kernel this is Polya's form
 (Titchmarsh, The Theory of the Riemann Zeta-Function, section 10.1), and
@@ -66,6 +69,14 @@ _MAX_DOUBLINGS = 10
 
 # trapezoid level k of the cosine transform has 24 2^k intervals
 _TRAPEZOID_INTERVALS = 24
+
+# strip half-widths a = (pi/4)(1 - 2^-i) at which the trapezoid error
+# bound is tried: the best a nears pi/4 as the level's step h shrinks
+_STRIP_WIDTHS = tuple(math.pi / 4 * (1 - 2.0**-i) for i in range(1, 11))
+
+# relative margin on the float majorant: each of its terms is a handful
+# of correctly rounded or few-ulp operations, so its sum errs by far less
+_MAJORANT_MARGIN = 1 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -328,6 +339,50 @@ def _tail_bound(m, alpha, const, t_cut, order):
         return val / rate
 
 
+def _strip_majorant(chi, a):
+    """Float bound M(a) on the integral over the real line of |Phi(t + iy)|, |y| <= a.
+
+    Phi is even and real on the real line, so that integral is twice the
+    one over t >= 0, where the theta series converges for a < pi/4.  Its
+    term n is a sum over parts (w, p, s) of w n^p e^(2st) exp(-pi n^2
+    e^(2t) / m): (8 pi^2, 4, 9/4) and (-12 pi, 2, 5/4) for zeta, and
+    (4 chi(n), parity, (1 + 2 parity)/4) for a character.  At t + iy each
+    has modulus at most |w| n^p e^(2st) exp(-c e^(2t)), c = pi n^2
+    cos(2a) / m, and v = c e^(2t) turns the integral of that over t >= 0
+    into |w| n^p c^-s Gamma(s, c) / 2.  So M(a) = sum_n sum_parts |w| n^p
+    c^-s Gamma(s, c).  Each c^-s Gamma(s, c) is at most Gamma(s) c^-s
+    and, once d = c - max(s - 1, 0) > 0, at most e^-c / d, because for
+    v >= c, v^(s-1) <= c^(s-1) e^((s-1)(v-c)/c) if s > 1 and v^(s-1) <=
+    c^(s-1) if s <= 1.  That second form E(n) falls from n to n + 1 by
+    a factor below r(n) = ((n + 1)/n)^p e^(-c_1 (2n + 1)), c_1 = c / n^2,
+    which decreases in n; once r(n) < 1 the terms from n on sum to at
+    most E(n) / (1 - r(n)).
+    """
+    if chi is None:
+        m, parts = 1, ((8 * math.pi**2, 4, 9 / 4), (12 * math.pi, 2, 5 / 4))
+    else:
+        m, parts = chi.modulus, ((4.0, chi.parity, (1 + 2 * chi.parity) / 4),)
+    c1 = math.pi * math.cos(2 * a) / m
+    p_top = max(p for _, p, _ in parts)
+    total, n = 0.0, 0
+    while True:
+        n += 1
+        for w, p, s in parts:
+            c, d = c1 * n * n, c1 * n * n - max(s - 1, 0)
+            gamma_form = math.gamma(s) * c**-s
+            total += w * n**p * (min(gamma_form, math.exp(-c) / d) if d > 0 else gamma_form)
+        # the omitted terms: E(n + 1) / (1 - ratio bound at n + 1)
+        c = c1 * (n + 1) ** 2
+        ds = [c - max(s - 1, 0) for _, _, s in parts]
+        ratio = ((n + 2) / (n + 1)) ** p_top * math.exp(-c1 * (2 * n + 3))
+        if min(ds) <= 0 or ratio >= 1:
+            continue
+        tail = sum(w * (n + 1) ** p * math.exp(-c) / d for (w, p, _), d in zip(parts, ds))
+        tail /= 1 - ratio
+        if tail <= 1e-6 * total:
+            return (total + tail) * _MAJORANT_MARGIN
+
+
 class XiEvaluator:
     """Cosine transform and moment table of one kernel, with cached grids.
 
@@ -371,6 +426,7 @@ class XiEvaluator:
         self._wp = libmp.dps_to_prec(self._dps) + _GUARD_BITS
         self._levels = {}
         self._trapezoids = {}
+        self._log_majorants = None
         self._bulk_level = None
         self._bulk_err = None
 
@@ -488,34 +544,57 @@ class XiEvaluator:
             "quadrature did not converge within the refinement budget"
         )
 
+    def _log_strip_bound(self, k, z_max):
+        """log of the level-k discretization bound for |z| <= z_max.
+
+        f(t) = Phi(t) cos(z t) is even, so the rule h (f(0)/2 + sum_j f(j h))
+        is half the trapezoid sum over all integers j, and its error half
+        that sum's.  For f analytic in |Im t| < a with the integral of
+        |f(t + iy)| over the real line at most M_f for every |y| < a, the
+        full sum errs by at most 2 M_f / (e^(2 pi a / h) - 1) (Trefethen and
+        Weideman, SIAM Rev. 56 (2014), Thm 5.1).  |cos(z (t + iy))| <=
+        cosh(z y) <= e^(a z_max), so M_f <= M(a) e^(a z_max) and the rule
+        errs by at most M(a) e^(a z_max) / (e^(2 pi a / h) - 1), minimized
+        here over _STRIP_WIDTHS.  h = h_0 2^-k is an exact float, and the
+        majorant's relative margin covers the rounding of these float steps.
+        """
+        if self._log_majorants is None:
+            self._log_majorants = [(a, math.log(_strip_majorant(self.chi, a))) for a in _STRIP_WIDTHS]
+        h = libmp.to_float(self._h0) / 2**k
+        best = math.inf
+        for a, log_m in self._log_majorants:
+            x = 2 * math.pi * a / h
+            best = min(best, log_m + a * z_max - x - math.log1p(-math.exp(-x)))
+        return best
+
     def calibrate_transform(self, z_probes):
         """Fix a single trapezoid level for bulk transform evaluation.
 
-        Builds levels 0, 1, 2, ... until level k agrees with level k - 1
-        at every probe argument, and locks level k: no level above it is
-        built.  The absolute error bound is 8 (largest gap at the probes
-        + summed node error of level k) + 10^-target_digits, plus the
-        sweep's rounding bound and the omitted nodes past t_cutoff.  Bulk
-        zero scans use transform_at() afterwards, which costs one sweep
-        instead of a full refinement ladder.
+        Locks the lowest level k whose discretization bound at z_max =
+        max |probe| (`_log_strip_bound`) is at most 10^-target_digits
+        e^(-pi z_max / 4): the transform decays like e^(-pi z / 4), so an
+        absolute target alone would leave its top values without digits.
+        Only levels 0..k are built, and nothing is swept.  Returns (k,
+        bound): the absolute bound at every |z| <= z_max adds the
+        discretization bound, the summed node error of level k, the sweep's
+        rounding bound and the omitted nodes past t_cutoff.  Bulk zero
+        scans use transform_at() afterwards, one sweep per argument.
         """
         probes = tuple(z_probes)
         if not probes:
             raise DomainError("calibration needs at least one probe argument")
         with mp.workdps(self._dps):
-            tol = mpf(10) ** (-self.target_digits)
-            zvs = [to_real(z, self._dps) for z in probes]
-            prev = [self._sweep(0, zv) for zv in zvs]
-            for k in range(1, _MAX_DOUBLINGS + 1):
-                cur = [self._sweep(k, zv) for zv in zvs]
-                worst = max(abs(c - p) for c, p in zip(cur, prev))
-                if worst <= tol:
-                    _, _, node_err, sweep_err = self._trapezoid(k)
-                    self._bulk_level = k
-                    self._bulk_err = +(8 * (worst + node_err) + tol + sweep_err + self._tail0)
-                    return self._bulk_level, self._bulk_err
-                prev = cur
-        raise AccuracyError("transform calibration did not converge")
+            z_max = max(math.nextafter(float(abs(to_real(z, self._dps))), math.inf) for z in probes)
+        log_target = -self.target_digits * math.log(10) - math.pi * z_max / 4
+        for k in range(_MAX_DOUBLINGS + 1):
+            log_strip = self._log_strip_bound(k, z_max)
+            if log_strip <= log_target:
+                _, _, node_err, sweep_err = self._trapezoid(k)
+                with mp.workdps(30):
+                    self._bulk_err = +(mp.exp(log_strip) + node_err + sweep_err + self._tail0)
+                self._bulk_level = k
+                return self._bulk_level, self._bulk_err
+        raise AccuracyError("no trapezoid level within the budget meets the transform target")
 
     def transform_at(self, z):
         """Single-sweep cosine transform at the calibrated level."""

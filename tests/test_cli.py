@@ -334,6 +334,28 @@ def test_oracle_csv_and_text(runner):
     assert "(mode plain)" in txt.output
 
 
+def test_oracle_states_the_tol_its_zeros_are_certified_to(runner):
+    # 30 digits are printed, 15 certified: JSON and text say so, CSV stays as it was
+    args = ["oracle", "--function", "zeta", "--count", "3", "--precision", "30"]
+    payload = json.loads(_invoke(runner, args + ["--format", "json"]).output)
+    assert payload["tol"] == "1.0e-15"
+    assert list(payload) == [
+        "function", "params", "precision", "count", "tol", "zeros", "residuals", "sums",
+    ]
+    with mp.workdps(30):
+        for n, z in enumerate(payload["zeros"], 1):
+            assert len(z.replace(".", "")) == 30
+            assert abs(mp.mpf(z) - mp.zetazero(n).imag) <= mp.mpf(payload["tol"])
+    txt = _invoke(runner, args).output.splitlines()
+    assert "# tol 1.0e-15: each zero z is certified to within tol, not to every digit" in txt
+    assert [line.split()[2] for line in txt if line.startswith("zero[")] == payload["zeros"]
+    cv = _invoke(runner, args + ["--format", "csv"]).output.splitlines()
+    assert cv[0] == "k,zero,residual"
+    assert [row.split(",")[1] for row in cv[1:]] == payload["zeros"]
+    qairy = ["oracle", "--function", "qairy", "--q", "0.5", "--count", "3"]
+    assert "within tol * z (relative)" in _invoke(runner, qairy).output
+
+
 @pytest.mark.parametrize(
     "params, kind",
     [

@@ -552,19 +552,122 @@ def _xi_zeros_evaluator(d, count, prec=30):
     return ev
 
 
-@pytest.mark.parametrize("d, count", [(None, 16), (-3, 2), (-4, 2)])
-def test_calibration_locks_the_first_agreeing_level_and_builds_none_above(d, count):
+def _untruncated_trapezoid_sums(ev, z, top):
+    # h_j (Phi(0)/2 + sum_i Phi(i h_j) cos(i z h_j)) for j <= top at 30 more
+    # digits, from kernel values at 10^-(dps + 20) and past 2 t_cutoff: free
+    # of the sweep's node errors and rounding and of the tail the package
+    # leaves past t_cutoff, so two levels differ by their discretization only
+    n = zeta._TRAPEZOID_INTERVALS << (top + 1)
+    with mp.workdps(ev._dps + 30):
+        h = mp.make_mpf(ev._h0) / 2**top
+        nodes = [i * h for i in range(n + 1)]
+        vals = [v for v, _ in zeta._phi_nodes(ev.chi, nodes, mp.mpf(10) ** -(ev._dps + 20))]
+        sums = []
+        for j in range(top + 1):
+            stride = 2 ** (top - j)
+            terms = (vals[i] * mp.cos(z * nodes[i]) for i in range(stride, n + 1, stride))
+            sums.append(h * stride * (vals[0] / 2 + mp.fsum(terms)))
+    return sums
+
+
+@pytest.mark.parametrize("d, count", [(None, 16), (-3, 2), (-4, 2), (None, 50), (5, 20)])
+def test_calibration_locks_the_lowest_level_the_strip_bound_allows(d, count):
     ev = _xi_zeros_evaluator(d, count)
     level, _ = ev.locked
+    z_max = max(ev.probes)
+    # log of the target 10^-target_digits e^(-pi z_max / 4)
+    target = -ev.target_digits * math.log(10) - math.pi * z_max / 4
+    assert ev._log_strip_bound(level, z_max) <= target
+    assert level == 0 or ev._log_strip_bound(level - 1, z_max) > target
+    # only levels 0..k were built, and the scan swept none above
     assert sorted(ev._trapezoids) == list(range(level + 1))
-    with mp.workdps(ev._dps):
-        tol = mp.mpf(10) ** (-ev.target_digits)
-        gaps = [
-            max(abs(ev._sweep(k, mp.mpf(z)) - ev._sweep(k - 1, mp.mpf(z))) for z in ev.probes)
-            for k in range(1, level + 1)
-        ]
-    assert gaps[-1] <= tol
-    assert all(gap > tol for gap in gaps[:-1])
+    # each level's bound holds where it is far above the rounding floor
+    # (level k - 1) and at the locked level
+    sums = _untruncated_trapezoid_sums(ev, mp.mpf(z_max), level + 2)
+    for j in range(max(level - 1, 0), level + 1):
+        with mp.workdps(30):
+            term = sum(mp.exp(ev._log_strip_bound(i, z_max)) for i in (j, j + 2))
+            assert abs(sums[j] - sums[j + 2]) <= term + mp.mpf(10) ** -(ev._dps + 15)
+
+
+def _locked_level(d, count, prec):
+    # the level xi_zeros calibrates, without its scan
+    chi = None if d is None else kronecker_character(d)
+    locked = []
+
+    class Calibrated(Exception):
+        pass
+
+    class Stop(XiEvaluator):
+        def calibrate_transform(self, z_probes):
+            locked.append(super().calibrate_transform(z_probes)[0])
+            raise Calibrated
+
+    with mock.patch.object(oracle, "XiEvaluator", Stop), pytest.raises(Calibrated):
+        xi_zeros(count, prec, chi)
+    return locked[0]
+
+
+# (discriminant, count, digits): (level the strip bound locks, level the
+# earlier two-levels-agree ladder locked at three probes)
+LOCKED_LEVELS = {
+    (None, 3, 30): (2, 3),
+    (None, 16, 30): (2, 3),
+    (None, 50, 30): (3, 3),
+    (None, 3, 50): (2, 3),
+    (None, 16, 50): (3, 3),
+    (None, 30, 50): (3, 4),
+    (None, 50, 50): (3, 4),
+    (-3, 2, 30): (2, 3),
+    (-4, 2, 30): (2, 3),
+    (-163, 3, 30): (3, 4),
+    (-163, 10, 30): (3, 4),
+    (5, 20, 30): (3, 3),
+    (-4, 20, 30): (3, 3),
+}
+
+
+@pytest.mark.parametrize("d, count, prec", list(LOCKED_LEVELS))
+def test_locked_levels_stay_at_or_below_the_agreement_ladder(d, count, prec):
+    level, ladder = LOCKED_LEVELS[d, count, prec]
+    assert level <= ladder
+    assert _locked_level(d, count, prec) == level
+
+
+def _theta_kernel_at(chi, w, terms):
+    # the raw theta series at complex w with Re w >= 0, q^(n^2) by the
+    # recurrence q^((n + 1)^2) = q^(n^2) q^(2n + 1)
+    m = 1 if chi is None else chi.modulus
+    x = mp.exp(2 * w)
+    q = mp.exp(-mp.pi * x / m)
+    qn, step, total = q, q**3, 0
+    for n in range(1, terms + 1):
+        if chi is None:
+            total += (8 * mp.pi**2 * n**4 * x - 12 * mp.pi * n**2) * qn
+        elif chi(n):
+            total += chi(n) * n**chi.parity * qn
+        qn, step = qn * step, step * q * q
+    if chi is None:
+        return total * mp.exp(5 * w / 2)
+    return 4 * mp.exp((1 + 2 * chi.parity) * w / 2) * total
+
+
+@pytest.mark.parametrize("d", [None, -3, 5])
+@pytest.mark.parametrize("i", [0, 2, 4])
+def test_strip_majorant_bounds_the_kernel_integral_on_the_strip_edge(d, i):
+    # Phi is even and real on the real line, so |Phi(-t + ia)| = |Phi(t + ia)|
+    # and the line integral is twice the one over t >= 0; past t = 3 the
+    # kernel is below 10^-100 for every a used here
+    chi = None if d is None else kronecker_character(d)
+    a = zeta._STRIP_WIDTHS[i]
+    with mp.workdps(10):
+        half, err = mp.quad(
+            lambda t: abs(_theta_kernel_at(chi, mp.mpc(t, a), 32)),
+            [0, 0.25, 0.5, 1, 2, 3], method="gauss-legendre", maxdegree=3, error=True,
+        )
+        integral = 2 * half
+        majorant = zeta._strip_majorant(chi, a)
+        assert integral + 2 * err <= majorant <= 4 * integral
 
 
 @settings(
@@ -576,7 +679,8 @@ def test_calibration_locks_the_first_agreeing_level_and_builds_none_above(d, cou
 @given(
     u=st.floats(min_value=0, max_value=1),
     # (30, 50) scans the largest z the package sweeps at 50 digits
-    case=st.sampled_from([(None, 16), (-3, 2), (None, 30, 50)]),
+    # (None, 50) and (5, 20) reach z where the transform has decayed far below 1
+    case=st.sampled_from([(None, 16), (-3, 2), (None, 30, 50), (None, 50), (5, 20)]),
 )
 def test_transform_at_xi_zeros_probes_within_its_printed_bound(u, case):
     # z runs from the scan start to t_end, the largest probe xi_zeros uses
