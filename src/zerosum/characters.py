@@ -85,7 +85,6 @@ class DirichletCharacter:
 
     modulus: int
     values: tuple
-    label: str = ""
 
     def __post_init__(self):
         m = self.modulus
@@ -149,7 +148,7 @@ def kronecker_character(d):
         )
     m = abs(d)
     values = tuple(kronecker_symbol(d, n) for n in range(m))
-    chi = DirichletCharacter(modulus=m, values=values, label=f"kronecker({d})")
+    chi = DirichletCharacter(modulus=m, values=values)
     expected_parity = 0 if d > 0 else 1
     if chi.parity != expected_parity:
         raise DomainError(f"parity check failed for discriminant {d}")

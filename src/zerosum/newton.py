@@ -30,7 +30,6 @@ from .precision import DEFAULT_PREC, check_precision, to_real, working
 
 METHOD_RECURRENCE = "recurrence"
 METHOD_DETERMINANT = "determinant"
-METHOD_DIRECT = "direct"
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class CoefficientSeries:
     """
 
     sigmas: tuple
-    source: str
     precision: int = DEFAULT_PREC
 
     def __post_init__(self):
@@ -69,11 +67,9 @@ class PowerSumReport:
     values: tuple
     method: str
     precision: int
-    scale_c: object = None
-    source: str = ""
 
     def __post_init__(self):
-        if self.method not in (METHOD_RECURRENCE, METHOD_DETERMINANT, METHOD_DIRECT):
+        if self.method not in (METHOD_RECURRENCE, METHOD_DETERMINANT):
             raise DomainError(f"unknown method {self.method!r}")
         object.__setattr__(self, "values", tuple(self.values))
 
@@ -111,12 +107,7 @@ def power_sums_recurrence(series, order=None):
                 acc += (-1) ** (j - 1) * sig[j] * s[n - j - 1]
             s.append(acc)
         values = tuple(+v for v in s)
-    return PowerSumReport(
-        values=values,
-        method=METHOD_RECURRENCE,
-        precision=series.precision,
-        source=series.source,
-    )
+    return PowerSumReport(values=values, method=METHOD_RECURRENCE, precision=series.precision)
 
 
 def lower_triangular_system_matrix(sigmas, scale, n, prec=DEFAULT_PREC):
@@ -185,13 +176,7 @@ def power_sums_determinant(series, scale=-1, order=None):
             +(c**n * determinant([r[: n - 1] + r[-1:] for r in rows[:n]], prec))
             for n in range(1, order + 1)
         ]
-    return PowerSumReport(
-        values=tuple(values),
-        method=METHOD_DETERMINANT,
-        precision=prec,
-        scale_c=c,
-        source=series.source,
-    )
+    return PowerSumReport(values=tuple(values), method=METHOD_DETERMINANT, precision=prec)
 
 
 def elementary_symmetric_finite(lambdas, n, prec=DEFAULT_PREC):

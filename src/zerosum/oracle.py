@@ -41,8 +41,9 @@ evaluates the Taylor series whose coefficients feed the Newton routes,
 so there it shares nothing with them but the function itself.
 
 Each family's count cap, lambda mode, tolerance kind and tail model sit
-in one record of `_FAMILIES`, keyed by `ZeroList.family`; the locators,
-`tail_estimate` and `truncated_power_sum` read them only from there.
+in one record of `_FAMILIES`, keyed by `ZeroList.family`; a zero list,
+the locators, `tail_estimate` and `truncated_power_sum` read them only
+from there, so a list's family alone fixes how it is summed.
 """
 
 from __future__ import annotations
@@ -81,26 +82,24 @@ _LOG10_2 = math.log10(2)
 class ZeroList:
     """Positive zeros in ascending order with residual magnitudes.
 
-    tol and tol_kind describe how tightly each zero is localized:
-    "absolute" means z is within tol of the true zero, "relative" means
-    within tol*z.  Downstream sums propagate this into their bounds.
+    family keys the list's record in `_FAMILIES`, which fixes the power
+    its sums take (lambda_mode) and how tol localizes each zero
+    (tol_kind): "absolute" means z is within tol of the true zero,
+    "relative" means within tol*z.  Downstream sums propagate this into
+    their bounds.
     """
 
     zeros: tuple
     residuals: tuple
     family: str
-    lambda_mode: str
     precision: int
-    tol: object = None
-    tol_kind: str = "absolute"
+    tol: object
     modulus: int = 1
     note: str = ""
 
     def __post_init__(self):
-        if self.lambda_mode not in (MODE_SQUARED, MODE_PLAIN):
-            raise DomainError(f"unknown lambda mode {self.lambda_mode!r}")
-        if self.tol_kind not in ("absolute", "relative"):
-            raise DomainError(f"unknown tolerance kind {self.tol_kind!r}")
+        if self.family not in _FAMILIES:
+            raise DomainError(f"unknown zero-list family {self.family!r}")
         if len(self.zeros) != len(self.residuals):
             raise DomainError("zeros and residuals must have equal length")
         if not self.zeros:
@@ -110,6 +109,14 @@ class ZeroList:
             if not z > prev:
                 raise DomainError("zeros must be strictly increasing and positive")
             prev = z
+
+    @property
+    def lambda_mode(self):
+        return _FAMILIES[self.family].mode
+
+    @property
+    def tol_kind(self):
+        return _FAMILIES[self.family].tol_kind
 
     @property
     def count(self):
@@ -124,16 +131,11 @@ class ZeroList:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Estimated remainder of a power sum beyond the computed zeros.
-
-    value is mp.inf where the summed power makes that remainder diverge.
-    power is the p of the sum of zero^-p that the remainder belongs to.
-    """
+    """Estimated remainder of a power sum beyond the computed zeros."""
 
     value: object
     bound_kind: str
     confidence_note: str
-    power: int
 
     def __post_init__(self):
         if self.bound_kind not in ("asymptotic-density", "geometric-ratio"):
@@ -842,15 +844,13 @@ def _ratio_spaced(q, tol, xs, x):
 
 
 # Tail models: each estimates sum_(k > K) z_k^-p beyond the K computed
-# zeros zs of zero_list for the power p actually summed, and returns
-# mp.inf where that sum diverges.
+# zeros zs of zero_list for the power p its family sums, p = 2n for the
+# squared families and n for q-Airy, so every such sum converges.
 
 
 def _gap_tail(zero_list, zs, p):
     if len(zs) < 2:
         raise DomainError("bessel tail needs at least two zeros")
-    if p <= 1:
-        return mp.inf
     last = zs[-1]
     g = min(mp.pi, last - zs[-2])
     return last ** (1 - p) / (g * (p - 1))
@@ -858,8 +858,6 @@ def _gap_tail(zero_list, zs, p):
 
 def _airy_tail(zero_list, zs, p):
     # z_k ~ c k^(2/3), so the terms fall as k^(-2p/3)
-    if 2 * p <= 3:
-        return mp.inf
     k = len(zs)
     c = zs[-1] / mpf(k) ** (mpf(2) / 3)
     return 3 * c ** (-p) * mpf(k) ** (-(2 * p - 3) / mpf(3)) / (2 * p - 3)
@@ -880,8 +878,6 @@ def _ratio_tail(zero_list, zs, p):
 
 def _density_tail(zero_list, zs, p):
     # ordinate density at height t is log(m t / 2 pi) / 2 pi
-    if p <= 1:
-        return mp.inf
     last = zs[-1]
     base = last ** (1 - p) / (2 * mp.pi)
     value = base * (
@@ -928,11 +924,9 @@ def _check_count(count, family, prec):
 
 
 def _zero_list(family, zeros, residuals, prec, tol, note="", modulus=1):
-    spec = _FAMILIES[family]
     return ZeroList(
-        zeros=tuple(zeros), residuals=tuple(residuals), family=family,
-        lambda_mode=spec.mode, precision=prec, tol=+tol, tol_kind=spec.tol_kind,
-        modulus=modulus, note=note,
+        zeros=tuple(zeros), residuals=tuple(residuals), family=family, precision=prec,
+        tol=+tol, modulus=modulus, note=note,
     )
 
 
@@ -1145,61 +1139,41 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
         )
 
 
+def _power(zero_list, n):
+    # the p of the sum of zero^-p that is the list's order-n power sum
+    return 2 * n if zero_list.lambda_mode == MODE_SQUARED else n
+
+
 def tail_estimate(zero_list, n, prec=DEFAULT_PREC):
-    """Remainder estimate for the order-n power sum beyond the last zero."""
+    """The family's model of the order-n power sum's remainder beyond the last zero."""
     check_precision(prec)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"order must be a positive integer, got {n!r}")
-    return _tail(zero_list, 2 * n if zero_list.lambda_mode == MODE_SQUARED else n, prec)
-
-
-def _tail(zero_list, power, prec):
-    """The family's tail model for the sum of zero^-power."""
+    spec = _FAMILIES[zero_list.family]
     with working(prec, 15):
         zs = [to_real(z, prec) for z in zero_list.zeros]
-        spec = _FAMILIES.get(zero_list.family)
-        if spec is None:
-            raise DomainError(f"no tail model for family {zero_list.family!r}")
         return TailEstimate(
-            value=+spec.tail(zero_list, zs, power),
+            value=+spec.tail(zero_list, zs, _power(zero_list, n)),
             bound_kind=spec.bound_kind,
             confidence_note=spec.note,
-            power=power,
         )
 
 
-def truncated_power_sum(zero_list, n, exponent_mode=None, prec=DEFAULT_PREC, tail=None):
+def truncated_power_sum(zero_list, n, prec=DEFAULT_PREC):
     """Order-n power sum over the computed zeros with a two-part bound.
 
-    exponent_mode "squared" sums 1/zero^(2n), "plain" sums 1/zero^n;
-    None takes the mode the zero list was built with.  Terms are
-    accumulated smallest first (descending zeros).  error_bound is the
-    tail estimate plus the propagated zero-location uncertainty (with a
-    2x margin), since at large counts the partial sum's own accuracy,
-    not the tail, limits the bracket.  The true sum is expected to lie
-    in [estimate - error_bound, estimate + error_bound], and because
-    truncation always undershoots, in practice in
-    [estimate, estimate + error_bound].  The tail is the family's model
-    for the power actually summed, also under an exponent_mode other
-    than the list's own; where that sum diverges (1/zero summed plain
-    for Bessel, Airy and xi) the tail and error_bound are mp.inf.  A
-    tail passed in must have been taken for that power, or DomainError
-    is raised.
+    The list's family fixes the power: 1/zero^(2n) for squared-mode
+    families, 1/zero^n for q-Airy.  Terms are accumulated smallest first
+    (descending zeros).  error_bound is the family's tail estimate plus
+    the propagated zero-location uncertainty (with a 2x margin), since at
+    large counts the partial sum's own accuracy, not the tail, limits the
+    bracket.  The true sum is expected to lie in [estimate - error_bound,
+    estimate + error_bound], and because truncation always undershoots,
+    in practice in [estimate, estimate + error_bound].
     """
-    check_precision(prec)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"order must be a positive integer, got {n!r}")
-    if exponent_mode is None:
-        exponent_mode = zero_list.lambda_mode
-    if exponent_mode not in (MODE_SQUARED, MODE_PLAIN):
-        raise DomainError(f"unknown exponent mode {exponent_mode!r}")
-    power = 2 * n if exponent_mode == MODE_SQUARED else n
-    if tail is None:
-        tail = _tail(zero_list, power, prec)
-    elif tail.power != power:
-        raise DomainError(
-            f"tail was taken for the sum of zero^-{tail.power}, not of zero^-{power}"
-        )
+    tail = tail_estimate(zero_list, n, prec)
+    power = _power(zero_list, n)
+    absolute = zero_list.tol_kind == "absolute"
     with working(prec, 15):
         acc = mp.zero
         location = mp.zero
@@ -1207,9 +1181,8 @@ def truncated_power_sum(zero_list, n, exponent_mode=None, prec=DEFAULT_PREC, tai
             zv = to_real(z, prec)
             term = zv ** (-power)
             acc += term
-            if zero_list.tol is not None:
-                rel = zero_list.tol / zv if zero_list.tol_kind == "absolute" else zero_list.tol
-                location += power * rel * term
+            rel = zero_list.tol / zv if absolute else zero_list.tol
+            location += power * rel * term
         return TruncatedPowerSum(
             estimate=+acc,
             error_bound=+(tail.value + 2 * location),

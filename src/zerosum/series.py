@@ -61,7 +61,7 @@ def sinc_sigmas(order, prec=DEFAULT_PREC):
         sig = [mp.one]
         for n in range(1, order + 1):
             sig.append(+(pi2**n / mp.factorial(2 * n + 1)))
-    return CoefficientSeries(sigmas=tuple(sig), source="sinc", precision=prec)
+    return CoefficientSeries(sigmas=tuple(sig), precision=prec)
 
 
 def bessel_sigmas(params, order, prec=DEFAULT_PREC):
@@ -72,9 +72,7 @@ def bessel_sigmas(params, order, prec=DEFAULT_PREC):
         sig = [mp.one]
         for n in range(1, order + 1):
             sig.append(+(1 / (mp.factorial(n) * mpf(4) ** n * pochhammer(nu + 1, n, prec))))
-    return CoefficientSeries(
-        sigmas=tuple(sig), source=f"bessel(nu={params.nu})", precision=prec
-    )
+    return CoefficientSeries(sigmas=tuple(sig), precision=prec)
 
 
 def airy_raw_coefficient(n, prec=DEFAULT_PREC):
@@ -100,7 +98,7 @@ def airy_sigmas(order, prec=DEFAULT_PREC):
         sig = [mp.one]
         for n in range(1, order + 1):
             sig.append(+(airy_raw_coefficient(n, prec) / alpha0))
-    return CoefficientSeries(sigmas=tuple(sig), source="airy", precision=prec)
+    return CoefficientSeries(sigmas=tuple(sig), precision=prec)
 
 
 def qbessel_sigmas(params, order, prec=DEFAULT_PREC):
@@ -119,11 +117,7 @@ def qbessel_sigmas(params, order, prec=DEFAULT_PREC):
                 * q_pochhammer_finite(qnu1, q, n, prec)
             )
             sig.append(+(num / den))
-    return CoefficientSeries(
-        sigmas=tuple(sig),
-        source=f"qbessel(nu={params.nu},q={params.q})",
-        precision=prec,
-    )
+    return CoefficientSeries(sigmas=tuple(sig), precision=prec)
 
 
 def qairy_sigmas(q, order, prec=DEFAULT_PREC):
@@ -136,7 +130,7 @@ def qairy_sigmas(q, order, prec=DEFAULT_PREC):
         sig = [mp.one]
         for n in range(1, order + 1):
             sig.append(+(qv ** (n * n) / q_pochhammer_finite(qv, qv, n, prec)))
-    return CoefficientSeries(sigmas=tuple(sig), source=f"qairy(q={q})", precision=prec)
+    return CoefficientSeries(sigmas=tuple(sig), precision=prec)
 
 
 def bessel_s_closed(params, k, prec=DEFAULT_PREC):

@@ -86,7 +86,6 @@ class MomentTable:
     b: tuple
     beta: tuple
     quadrature_error: tuple
-    kind: str
     modulus: int
     parity: int
     precision: int
@@ -94,9 +93,7 @@ class MomentTable:
     def series(self):
         """Coefficient series sigma_n = beta_n for the Newton routes."""
         sig = (mp.one,) + tuple(self.beta[1:])
-        return CoefficientSeries(
-            sigmas=sig, source=f"{self.kind}-moments", precision=self.precision
-        )
+        return CoefficientSeries(sigmas=sig, precision=self.precision)
 
 
 def _kernel_shape(chi):
@@ -390,11 +387,13 @@ class XiEvaluator:
     DirichletCharacter, or DomainError is raised.  The kernel values at the
     nodes are computed once per refinement level and reused across every
     moment order and every transform argument.  Integrals aim at prec +
-    15 digits; `points` is the Gauss-Legendre rule size of every moment
-    panel.
+    15 digits.
     """
 
-    def __init__(self, chi=None, prec=DEFAULT_PREC, points=24):
+    # Gauss-Legendre rule size of every moment panel
+    points = 24
+
+    def __init__(self, chi=None, prec=DEFAULT_PREC):
         check_precision(prec)
         if chi is not None:
             _check_character(chi)
@@ -411,7 +410,6 @@ class XiEvaluator:
                 f"t_cutoff {t_cut} leaves a kernel tail above 10^-{target + 5}"
             )
         self.target_digits = target
-        self.points = points
         self._alpha = alpha
         self._const = const
         self._dps = target + 25
@@ -635,7 +633,6 @@ class XiEvaluator:
             b=b,
             beta=tuple(beta),
             quadrature_error=errs,
-            kind="riemann" if self.chi is None else f"dirichlet({self.chi.label})",
             modulus=self.modulus,
             parity=0 if self.chi is None else self.chi.parity,
             precision=self.prec,

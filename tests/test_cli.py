@@ -179,6 +179,25 @@ def test_verify_sinc_with_oracle_passes(runner):
 
 
 @pytest.mark.parametrize(
+    "params",
+    [
+        ["--function", "bessel", "--nu", "0"],
+        ["--function", "airy"],
+        ["--function", "qbessel", "--nu", "0", "--q", "1/2"],
+    ],
+    ids=["bessel", "airy", "qbessel"],
+)
+def test_verify_with_oracle_passes_at_each_family_default_count(runner, params):
+    # every oracle interval is taken at the family's own power and tol kind
+    args = ["verify", *params, "--oracle", "--precision", "30", "--format", "json"]
+    res = _invoke(runner, args)
+    assert res.exit_code == 0
+    checks = {c["name"]: c["status"] for c in json.loads(res.output)["checks"]}
+    assert {f"oracle-interval-s{n}" for n in (1, 2, 3)} <= checks.keys()
+    assert set(checks.values()) == {"pass"}
+
+
+@pytest.mark.parametrize(
     "family", [["--function", "zeta"], ["--function", "dirichlet", "--discriminant", "-3"]]
 )
 def test_verify_builds_the_moment_table_once(runner, monkeypatch, family):

@@ -73,30 +73,34 @@ def qairy_half():
     return qairy_zeros("0.5", 25, 50)
 
 
-def test_zero_list_validation():
+def test_zero_list_validation(bessel0):
+    def make(zeros, residuals, family="bessel"):
+        return ZeroList(zeros=zeros, residuals=residuals, family=family, precision=50,
+                        tol=mp.mpf("1e-25"))
+
     with pytest.raises(DomainError):
-        ZeroList(zeros=(1, 2), residuals=(0,), family="x", lambda_mode=MODE_PLAIN,
-                 precision=50)
+        make((1, 2), (0,))
     with pytest.raises(DomainError):
-        ZeroList(zeros=(2, 1), residuals=(0, 0), family="x", lambda_mode=MODE_PLAIN,
-                 precision=50)
+        make((2, 1), (0, 0))
     with pytest.raises(DomainError):
-        ZeroList(zeros=(), residuals=(), family="x", lambda_mode=MODE_PLAIN,
-                 precision=50)
-    with pytest.raises(DomainError):
-        ZeroList(zeros=(1,), residuals=(0,), family="x", lambda_mode="cubed",
-                 precision=50)
-    with pytest.raises(DomainError):
-        ZeroList(zeros=(1,), residuals=(0,), family="x", lambda_mode=MODE_PLAIN,
-                 precision=50, tol_kind="sideways")
-    zl = ZeroList(zeros=(2, 4), residuals=(0, 0), family="x",
-                  lambda_mode=MODE_SQUARED, precision=50)
+        make((), ())
+    # a family without a record is refused when the list is built, not
+    # when it is first summed
+    with pytest.raises(DomainError, match="^unknown zero-list family 'x'$"):
+        make((1, 2), (0, 0), family="x")
+    zl = make((2, 4), (0, 0))
     assert zl.count == 2
-    lams = zl.lambdas()
-    assert rel_err(lams[0], mp.mpf(1) / 4) < mp.mpf("1e-14")
-    zl2 = ZeroList(zeros=(2, 4), residuals=(0, 0), family="x",
-                   lambda_mode=MODE_PLAIN, precision=50)
+    assert (zl.lambda_mode, zl.tol_kind) == (MODE_SQUARED, "absolute")
+    assert rel_err(zl.lambdas()[0], mp.mpf(1) / 4) < mp.mpf("1e-14")
+    zl2 = make((2, 4), (0, 0), family="qairy")
+    assert (zl2.lambda_mode, zl2.tol_kind) == (MODE_PLAIN, "relative")
     assert rel_err(zl2.lambdas()[1], mp.mpf(1) / 4) < mp.mpf("1e-14")
+    # the CLI's sinc list is a Bessel list with its zeros rescaled; its
+    # family still fixes how it is summed
+    sinc = dataclasses.replace(
+        bessel0, zeros=tuple(z / mp.pi for z in bessel0.zeros), tol=bessel0.tol / mp.pi, note=""
+    )
+    assert (sinc.lambda_mode, sinc.tol_kind) == (MODE_SQUARED, "absolute")
 
 
 def test_bessel_zeros_match_reference(bessel0):
@@ -699,67 +703,41 @@ def test_truncated_sum_brackets_bessel_closed_forms(bessel0):
         assert tps.estimate < closed  # the estimate omits a positive tail
 
 
-def test_truncated_sum_arithmetic_against_direct_sum(bessel0):
-    tps = truncated_power_sum(bessel0, 1, prec=50)
-    direct = mp.zero
-    location = mp.zero
-    for z in reversed(bessel0.zeros):
-        zv = to_real(z, 50)
-        term = 1 / (zv * zv)
-        direct += term
-        location += 2 * (bessel0.tol / zv) * term  # power 2n = 2 at order 1
-    tail = tail_estimate(bessel0, 1, 50)
-    assert rel_err(tps.estimate, direct) < mp.mpf("1e-40")
-    assert rel_err(tps.error_bound, tail.value + 2 * location) < mp.mpf("1e-30")
-
-
+# each family's own power p of the order-n sum of zero^-p, written out here
+# rather than read from the oracle's family records
 @pytest.mark.parametrize(
-    "locate, args, n, mode, closed",
+    "locate, args, power_per_order",
     [
-        (bessel_zeros, (0, 40, 50), 1, MODE_PLAIN, None),
-        (bessel_zeros, (0, 40, 50), 2, MODE_PLAIN, lambda: mp.mpf(1) / 4),
-        (qairy_zeros, ("0.5", 12, 30), 1, MODE_SQUARED, lambda: qairy_s_closed("0.5", 2)),
-        (qbessel_zeros, (0, "0.5", 12, 30), 2, MODE_PLAIN,
-         lambda: qbessel_s_closed(QBesselParams(nu=0, q="0.5"), 1)),
+        (bessel_zeros, (0, 40, 50), 2),
+        (airy_zeros, (20, 40), 2),
+        (qairy_zeros, ("0.5", 12, 30), 1),
+        (qbessel_zeros, (0, "0.5", 12, 30), 2),
+        (xi_zeros, (5, 30), 2),
     ],
-    ids=["bessel-plain-1", "bessel-plain-2", "qairy-squared-1", "qbessel-plain-2"],
+    ids=["bessel", "airy", "qairy", "qbessel", "xi"],
 )
-def test_truncated_sum_exponent_mode_override(locate, args, n, mode, closed):
-    # the tail is the one of the power actually summed, not of the list's mode
+def test_truncated_sum_arithmetic_against_direct_sum(locate, args, power_per_order):
     zl = locate(*args)
     prec = zl.precision
-    power = 2 * n if mode == MODE_SQUARED else n
-    tps = truncated_power_sum(zl, n, exponent_mode=mode, prec=prec)
-    want = mp.zero
-    for z in reversed(zl.zeros):
-        want += 1 / to_real(z, prec) ** power
-    assert rel_err(tps.estimate, want) < mp.mpf(10) ** (10 - prec)
-    if closed is None:
-        # the sum of 1/j_(0,k) diverges
-        assert tps.error_bound == mp.inf
-        return
-    assert tps.estimate - tps.error_bound < closed() < tps.estimate + tps.error_bound
-    if zl.tol_kind == "relative":
-        # a geometric tail lies below the last term it follows
-        assert tps.tail.value < 1 / zl.zeros[-1] ** power
-
-
-def test_truncated_sum_takes_a_passed_tail_only_for_its_own_power(bessel0):
-    # the list's own tail of order 2 is the tail of sum 1/z^4
-    own = tail_estimate(bessel0, 2, 50)
-    assert own.power == 4
-    assert truncated_power_sum(bessel0, 2, prec=50, tail=own) == truncated_power_sum(
-        bessel0, 2, prec=50
-    )
-    # summed plain, order 2 is sum 1/z^2: the 1/z^4 tail would give an
-    # interval 0.2474828 + 5.4e-8 that excludes the true 1/4
-    with pytest.raises(DomainError, match=r"^tail was taken for the sum of zero\^-4, not of zero\^-2$"):
-        truncated_power_sum(bessel0, 2, exponent_mode=MODE_PLAIN, prec=50, tail=own)
-    plain = tail_estimate(bessel0, 1, 50)
-    assert plain.power == 2
-    tps = truncated_power_sum(bessel0, 2, exponent_mode=MODE_PLAIN, prec=50, tail=plain)
-    assert tps == truncated_power_sum(bessel0, 2, exponent_mode=MODE_PLAIN, prec=50)
-    assert tps.estimate < mp.mpf(1) / 4 < tps.estimate + tps.error_bound
+    relative = zl.tol_kind == "relative"
+    assert relative == (zl.family in ("qairy", "qbessel"))
+    for n in (1, 2, 3):
+        power = power_per_order * n
+        tps = truncated_power_sum(zl, n, prec=prec)
+        direct = mp.zero
+        location = mp.zero
+        for z in reversed(zl.zeros):
+            zv = to_real(z, prec)
+            term = 1 / zv**power
+            direct += term
+            location += power * (zl.tol if relative else zl.tol / zv) * term
+        tail = tail_estimate(zl, n, prec)
+        assert tps.tail == tail
+        assert rel_err(tps.estimate, direct) < mp.mpf(10) ** (10 - prec)
+        assert rel_err(tps.error_bound, tail.value + 2 * location) < mp.mpf(10) ** (20 - prec)
+        if relative:
+            # a geometric tail lies below the last term it follows
+            assert 0 < tail.value < 1 / zl.zeros[-1] ** power
 
 
 def test_truncated_sum_brackets_qairy_closed_forms(qairy_half):
@@ -800,10 +778,6 @@ def test_tail_estimate_kinds_and_decay(bessel0, qairy_half):
     assert g1.confidence_note
     with pytest.raises(DomainError):
         tail_estimate(bessel0, 0, 50)
-    unknown = ZeroList(zeros=(1, 2), residuals=(0, 0), family="x", lambda_mode=MODE_PLAIN,
-                       precision=50)
-    with pytest.raises(DomainError, match="^no tail model for family 'x'$"):
-        tail_estimate(unknown, 1, 50)
     one = dataclasses.replace(bessel0, zeros=bessel0.zeros[:1], residuals=bessel0.residuals[:1])
     with pytest.raises(DomainError, match="^bessel tail needs at least two zeros$"):
         tail_estimate(one, 1, 50)

@@ -275,7 +275,6 @@ def test_theta_pass_stays_within_its_rounding_bound(d, u, relative, dps):
 def test_riemann_moment_table(riemann_table):
     tab = riemann_table
     assert isinstance(tab, MomentTable)
-    assert tab.kind == "riemann"
     assert tab.modulus == 1
     assert tab.parity == 0
     for n in range(5):
@@ -442,7 +441,9 @@ def test_accepted_tables_are_exactly_the_kronecker_characters():
 @functools.lru_cache(maxsize=None)
 def _evaluator(d, points):
     chi = None if d is None else kronecker_character(d)
-    return XiEvaluator(chi=chi, prec=30, points=points)
+    ev = XiEvaluator(chi=chi, prec=30)
+    ev.points = points
+    return ev
 
 
 @settings(
@@ -941,6 +942,8 @@ def test_moment_order_cap():
 
 
 def test_quadrature_config_override_converges():
-    tab = XiEvaluator(prec=35, points=16).moment_table(1)
+    ev = XiEvaluator(prec=35)
+    ev.points = 16
+    tab = ev.moment_table(1)
     assert rel_err(tab.b[0], mp.mpf(RIEMANN_B[0])) < mp.mpf("1e-25")
     assert rel_err(tab.b[1], mp.mpf(RIEMANN_B[1])) < mp.mpf("1e-25")
