@@ -23,10 +23,6 @@ class ZeroScaleError(DomainError):
     """The determinant route was asked to run with scale c = 0."""
 
 
-class InsufficientCoefficientsError(ConfigurationError):
-    """More power sums were requested than the coefficient series supports."""
-
-
 class LimitExceededError(ConfigurationError):
     """A documented hard cap (order, zero count, table size) was exceeded."""
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import (
-    DomainError,
-    InsufficientCoefficientsError,
-    SingularInputError,
-    ZeroScaleError,
-)
+from .errors import DomainError, SingularInputError, ZeroScaleError
 from .precision import DEFAULT_PREC, check_precision, to_real, working
 
 METHOD_RECURRENCE = "recurrence"
@@ -83,25 +78,12 @@ class PowerSumReport:
         return self.values[n - 1]
 
 
-def _resolve_order(series, order):
-    if order is None:
-        order = series.order
-    if not isinstance(order, int) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")
-    if order > series.order:
-        raise InsufficientCoefficientsError(
-            f"order {order} needs sigma_1..sigma_{order}; series holds {series.order}"
-        )
-    return order
-
-
-def power_sums_recurrence(series, order=None):
-    """Power sums via the forward recurrence."""
-    order = _resolve_order(series, order)
+def power_sums_recurrence(series):
+    """Power sums s_1..s_N via the forward recurrence, N = series.order."""
     with working(series.precision):
-        sig = [to_real(v, series.precision) for v in series.sigmas[: order + 1]]
+        sig = [to_real(v, series.precision) for v in series.sigmas]
         s = []
-        for n in range(1, order + 1):
+        for n in range(1, series.order + 1):
             acc = (-1) ** (n - 1) * n * sig[n]
             for j in range(1, n):
                 acc += (-1) ** (j - 1) * sig[j] * s[n - j - 1]
@@ -161,13 +143,13 @@ def determinant(rows, prec=DEFAULT_PREC):
         return +(sign * det)
 
 
-def power_sums_determinant(series, scale=-1, order=None):
-    """Power sums via scaled determinants, independent of the recurrence.
+def power_sums_determinant(series, scale=-1):
+    """Power sums s_1..s_N via scaled determinants, independent of the recurrence.
 
-    M_n is rows 1..n of the order-N matrix, with its first n - 1 columns
-    and its last column.
+    N = series.order; M_n is rows 1..n of the order-N matrix, with its
+    first n - 1 columns and its last column.
     """
-    order = _resolve_order(series, order)
+    order = series.order
     prec = series.precision
     with working(prec, 15):
         c = to_real(scale, prec)

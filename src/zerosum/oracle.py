@@ -48,6 +48,7 @@ from there, so a list's family alone fixes how it is summed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -63,7 +64,9 @@ from .errors import (
     PrecisionExhaustedError,
     ScanExhaustedError,
 )
-from .precision import DEFAULT_PREC, check_precision, to_real, working
+from .precision import (
+    DEFAULT_PREC, check_order, check_precision, fixed_point_bits, to_real, working,
+)
 from .zeta import XiEvaluator
 
 BESSEL_COUNT_CAP = 500
@@ -83,10 +86,10 @@ class ZeroList:
     """Positive zeros in ascending order with residual magnitudes.
 
     family keys the list's record in `_FAMILIES`, which fixes the power
-    its sums take (lambda_mode) and how tol localizes each zero
-    (tol_kind): "absolute" means z is within tol of the true zero,
-    "relative" means within tol*z.  Downstream sums propagate this into
-    their bounds.
+    its sums take (lambda_mode) and how tol, a positive finite real,
+    localizes each zero (tol_kind): "absolute" means z is within tol of
+    the true zero, "relative" means within tol*z.  Downstream sums
+    propagate this into their bounds.
     """
 
     zeros: tuple
@@ -104,6 +107,8 @@ class ZeroList:
             raise DomainError("zeros and residuals must have equal length")
         if not self.zeros:
             raise DomainError("zero list is empty")
+        if not (isinstance(self.tol, (int, float, mpf)) and 0 < self.tol < mp.inf):
+            raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
         prev = 0
         for z in self.zeros:
             if not z > prev:
@@ -170,17 +175,32 @@ def _digits(value, err):
     return _log10(value) - _log10(err)
 
 
+_Goals = namedtuple("_Goals", "width start need")
+
+
+@functools.lru_cache(maxsize=None)
+def _goals(prec):
+    """The oracle's digit rules at `prec` target digits: the width goal of
+    every located zero (absolute, or relative for the q-families), taken
+    at the locators' prec + 15 digits; the working digits every
+    evaluation starts from; and the digits a value must keep through
+    cancellation and rounding to be certified."""
+    with working(prec, 15):
+        width = mpf(10) ** (-(prec // 2))
+    return _Goals(width, prec + 20, prec / 2 + 8)
+
+
 def _adaptive_eval(pass_fn, prec, guess_digits, cap_digits, label):
     """Run a fixed-precision series pass with measured-cancellation retries.
 
     pass_fn(dps) returns (total, maxmag, nterms, err).  The value is
     certified once the cancellation it met (largest term over result)
-    leaves prec/2 + 8 of the dps working digits and its rounding bound
-    err leaves as many.
+    leaves _goals(prec).need of the dps working digits and its rounding
+    bound err leaves as many.
     """
-    dps = prec + 20 + max(0, int(guess_digits))
+    _, start, need = _goals(prec)
+    dps = start + max(0, int(guess_digits))
     cap = prec + 40 + max(0, int(cap_digits))
-    need = prec / 2 + 8
     if dps > cap:
         raise PrecisionExhaustedError(
             f"{label}: expected cancellation {int(guess_digits)} digits "
@@ -203,17 +223,12 @@ def _adaptive_eval(pass_fn, prec, guess_digits, cap_digits, label):
 
 
 # The term engine.  Every oracle series is summed on Python ints scaled
-# by 2^wp, wp = the working bits of dps plus _GUARD_BITS: term k + 1 is
+# by 2^wp, wp = fixed_point_bits(dps): term k + 1 is
 # floor(t_k num_k 2^-shift / den_k), where each family gives its term
 # ratio as a generator of the integers num_k and den_k, a shift, and for
 # ratios built from rounded running products a bound on their drift.
 
-_GUARD_BITS = 32
 _TERM_CAP = 1_000_000
-
-
-def _wp(dps):
-    return libmp.dps_to_prec(dps) + _GUARD_BITS
 
 
 def _mpf(n, exp, bits, rnd=libmp.round_nearest):
@@ -311,7 +326,7 @@ def _bessel_pass(nu, z, dps):
     Its ratios -(z/2)^2 / (k (nu + k)) are exact: with nu = nun / 2^s
     and z = zm 2^ze each is -zm^2 2^-shift / (k (nun + k 2^s)).
     """
-    wp = _wp(dps)
+    wp = fixed_point_bits(dps)
     nm, ne = _parts(nu)
     s = max(0, -ne)
     nun = nm << max(0, ne)
@@ -376,7 +391,7 @@ def _hankel_pass(nu, z, dps, length, scale):
     `dps` working digits.
     """
     bits = libmp.dps_to_prec(dps)
-    wp = bits + _GUARD_BITS
+    wp = fixed_point_bits(dps)
     nm, ne = _parts(nu)
     mu, s = nm * nm, -2 * ne - 2  # 4 nu^2 = mu / 2^s
     if s < 0:
@@ -427,8 +442,8 @@ def _make_bessel_eval(nu, prec):
 
     At each z > 0 Hankel's expansion is tried first.  It is used only when
     its certified error (DLMF 10.17(iii) remainder, the term engine's
-    bounds on P and Q, plus rounding) leaves the prec/2 + 8 surviving
-    digits that `_adaptive_eval` demands of the Taylor series, with up to
+    bounds on P and Q, plus rounding) leaves the surviving digits that
+    `_adaptive_eval` demands of the Taylor series (`_goals`), with up to
     three working-digit raises; otherwise the call falls back to the
     Taylor series, summed by the same engine.  The switch is thus decided
     per call; for orders that are not half odd integers it falls near
@@ -438,7 +453,7 @@ def _make_bessel_eval(nu, prec):
     is zero and it serves every z > 0.
     """
     nuf = float(nu)
-    need = prec / 2 + 8
+    goals = _goals(prec)
     scales = {}
 
     def scale(dps):
@@ -451,15 +466,15 @@ def _make_bessel_eval(nu, prec):
     def evaluate(z):
         if z > 0:
             zf = float(z)
-            dps = prec + 20
+            dps = goals.start
             for _ in range(3):
                 length = _hankel_length(nuf, zf, dps)
                 if length is None:
                     break
                 value, digits = _hankel_pass(nu, z, dps, length, scale)
-                if digits >= need:
+                if digits >= goals.need:
                     return value
-                dps += int(min(need - digits, dps)) + 10
+                dps += int(min(goals.need - digits, dps)) + 10
         return _bessel_series(nu, z, prec)
 
     return evaluate
@@ -482,7 +497,7 @@ def _airy_pass(z, dps, heads):
     and -z^3 / (9 k (3k + 1)), are exact; each lane stops by its own cut,
     and z L2 is formed exactly on the integers.
     """
-    wp = _wp(dps)
+    wp = fixed_point_bits(dps)
     cut = 10 ** (dps - 2)
     zm, ze = _parts(z)
     num, shift = -zm**3, -3 * ze
@@ -536,7 +551,7 @@ def _qairy_pass(q, z, dps):
     the k-th of each is within k + 1 units.  As 1 - q^(k+1) >= 1 - q,
     the ratio errors are within (k + 1)(1 + |r_k|) 2^-wp / (1 - q).
     """
-    wp = _wp(dps)
+    wp = fixed_point_bits(dps)
     one = 1 << wp
     qm, qe = _parts(q)  # 0 < q < 1, so qe < 0
     zm, ze = _parts(z)
@@ -580,7 +595,7 @@ def _qbessel_pass(q, qn, x, dps):
     D_0 = (1 - q)(1 - q^(nu+1)), the ratio errors are within
     2 (k + 2)(1 + |r_k|) 2^-wp / D_0, plus the relative error of qn.
     """
-    wp = _wp(dps)
+    wp = fixed_point_bits(dps)
     one = 1 << wp
     qm, qe = _parts(q)
     nm, ne = _parts(qn)
@@ -604,7 +619,7 @@ def _qbessel_pass(q, qn, x, dps):
 
 def _q_power(q, nu, dps):
     """q^nu to 20 bits past the engine's working bits at dps."""
-    with mp.workprec(_wp(dps) + 20):
+    with mp.workprec(fixed_point_bits(dps) + 20):
         return q**nu
 
 
@@ -976,7 +991,7 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
         if not nuv > -1:
             raise DomainError(f"Bessel order must satisfy nu > -1, got {nu}")
         f = _make_bessel_eval(nuv, prec)
-        xtol = mpf(10) ** (-(prec // 2))
+        xtol = _goals(prec).width
         step = mp.pi / 8
         zeros, residuals = _locate(
             f, count, xtol, mpf(1) / 1000, lambda x, _: x + step, 400 * count,
@@ -1001,7 +1016,7 @@ def airy_zeros(count, prec=DEFAULT_PREC):
     _check_count(count, "airy", prec)
     with working(prec, 15):
         f = _make_airy_eval(prec)
-        xtol = mpf(10) ** (-(prec // 2))
+        xtol = _goals(prec).width
 
         def advance(x, zeros):
             if len(zeros) > 1:
@@ -1032,7 +1047,7 @@ def qairy_zeros(q, count, prec=DEFAULT_PREC):
     with working(prec, 15):
         qv, _ = _q_values(q, None, prec)
         f = _make_qairy_eval(qv, prec)
-        rtol = mpf(10) ** (-(prec // 2))
+        rtol = _goals(prec).width
         # first zero is at least (1-q)/q (reciprocal of the first sum)
         start = mpf(2) / 5 * (1 - qv) / qv
         zeros, residuals = _ratio_locate(
@@ -1054,7 +1069,7 @@ def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
     with working(prec, 15):
         qv, nuv = _q_values(q, nu, prec)
         f = _make_qbessel_eval(nuv, qv, prec)
-        rtol = mpf(10) ** (-(prec // 2))
+        rtol = _goals(prec).width
         sigma1 = qv ** (nuv + 1) / (4 * (1 - qv) * (1 - qv ** (nuv + 1)))
         start = mpf(2) / 5 / sigma1
         xs, residuals = _ratio_locate(
@@ -1115,7 +1130,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
             # found minus the smooth count just above the last ordinate
             return len(zeros) - _smooth_zero_count(float(zeros[-1]) + 0.01, m, c)
 
-        xtol = mpf(10) ** (-(prec // 2))
+        xtol = _goals(prec).width
         for scale in (1, 0.5):
             budget = int((t_end - scan_lo) / step(t_end, scale)) + 8
             zeros, residuals = _locate(
@@ -1147,8 +1162,7 @@ def _power(zero_list, n):
 def tail_estimate(zero_list, n, prec=DEFAULT_PREC):
     """The family's model of the order-n power sum's remainder beyond the last zero."""
     check_precision(prec)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"order must be a positive integer, got {n!r}")
+    check_order(n)
     spec = _FAMILIES[zero_list.family]
     with working(prec, 15):
         zs = [to_real(z, prec) for z in zero_list.zeros]

@@ -11,13 +11,14 @@ import functools
 import math
 from fractions import Fraction
 
-from mpmath import mp, mpf, mpmathify
+from mpmath import libmp, mp, mpf, mpmathify
 
 from .errors import DomainError, LimitExceededError, PoleError
 
 DEFAULT_PREC = 50
 MIN_PREC = 30
 GUARD_DIGITS = 10
+GUARD_BITS = 32
 
 BERNOULLI_MAX_INDEX = 64
 
@@ -28,6 +29,17 @@ def check_precision(prec):
             f"precision must be an integer >= {MIN_PREC} decimal digits, got {prec!r}"
         )
     return prec
+
+
+def check_order(order):
+    if not isinstance(order, int) or order < 1:
+        raise DomainError(f"order must be a positive integer, got {order!r}")
+
+
+def fixed_point_bits(dps):
+    """wp of the fixed-point engines' unit 2^-wp at dps digits: their
+    working bits plus GUARD_BITS."""
+    return libmp.dps_to_prec(dps) + GUARD_BITS
 
 
 def working(prec, extra=GUARD_DIGITS):
@@ -68,10 +80,10 @@ def gamma(x, prec=DEFAULT_PREC):
 
 
 @functools.lru_cache(maxsize=None)
-def _bernoulli_table(upto):
+def _bernoulli_table():
     # B_n from the convolution sum(C(n+1, j) * B_j, j=0..n) = 0, exact in Q.
     table = [Fraction(1)]
-    for n in range(1, upto + 1):
+    for n in range(1, BERNOULLI_MAX_INDEX + 1):
         acc = Fraction(0)
         for j in range(n):
             acc += math.comb(n + 1, j) * table[j]
@@ -87,7 +99,7 @@ def bernoulli(k):
         raise LimitExceededError(
             f"Bernoulli index {k} exceeds the supported maximum {BERNOULLI_MAX_INDEX}"
         )
-    return _bernoulli_table(BERNOULLI_MAX_INDEX)[k]
+    return _bernoulli_table()[k]
 
 
 def pochhammer(a, n, prec=DEFAULT_PREC):

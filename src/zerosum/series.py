@@ -17,7 +17,7 @@ from .errors import DomainError
 from .newton import CoefficientSeries
 from .precision import (
     DEFAULT_PREC,
-    check_precision,
+    check_order,
     gamma,
     pi_value,
     pochhammer,
@@ -55,7 +55,7 @@ class QBesselParams:
 
 def sinc_sigmas(order, prec=DEFAULT_PREC):
     """sigma_n = pi^(2n) / (2n+1)! for zeros k*pi of sin(pi*...)/..., squared."""
-    _check_order(order)
+    check_order(order)
     with working(prec):
         pi2 = pi_value(prec) ** 2
         sig = [mp.one]
@@ -66,7 +66,7 @@ def sinc_sigmas(order, prec=DEFAULT_PREC):
 
 def bessel_sigmas(params, order, prec=DEFAULT_PREC):
     """sigma_n = 1 / (n! 4^n (nu+1)_n) for squared Bessel zeros."""
-    _check_order(order)
+    check_order(order)
     with working(prec):
         nu = to_real(params.nu, prec)
         sig = [mp.one]
@@ -92,7 +92,7 @@ def airy_raw_coefficient(n, prec=DEFAULT_PREC):
 
 def airy_sigmas(order, prec=DEFAULT_PREC):
     """Normalized coefficients alpha_n / alpha_0 for squared Airy-type zeros."""
-    _check_order(order)
+    check_order(order)
     with working(prec, 15):
         alpha0 = airy_raw_coefficient(0, prec)
         sig = [mp.one]
@@ -103,7 +103,7 @@ def airy_sigmas(order, prec=DEFAULT_PREC):
 
 def qbessel_sigmas(params, order, prec=DEFAULT_PREC):
     """sigma_n = q^(n(n+nu)) / (4^n (q;q)_n (q^(nu+1);q)_n), squared q-Bessel zeros."""
-    _check_order(order)
+    check_order(order)
     with working(prec):
         nu = to_real(params.nu, prec)
         q = to_real(params.q, prec)
@@ -122,7 +122,7 @@ def qbessel_sigmas(params, order, prec=DEFAULT_PREC):
 
 def qairy_sigmas(q, order, prec=DEFAULT_PREC):
     """sigma_n = q^(n^2) / (q;q)_n for plain (not squared) q-Airy zeros."""
-    _check_order(order)
+    check_order(order)
     with working(prec):
         qv = to_real(q, prec)
         if not 0 < qv < 1:
@@ -215,8 +215,3 @@ def _prod(items):
     for x in items:
         out *= x
     return out
-
-
-def _check_order(order):
-    if not isinstance(order, int) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")

@@ -54,14 +54,14 @@ from .errors import (
     VanishingMomentError,
 )
 from .newton import CoefficientSeries
-from .precision import DEFAULT_PREC, check_precision, to_real, working
+from .precision import (
+    DEFAULT_PREC, GUARD_BITS, check_order, check_precision, fixed_point_bits, to_real, working,
+)
 from .quadrature import panel_grid
 
 MOMENT_ORDER_CAP = 12
 
 _SERIES_TERM_CAP = 2_000_000
-
-_GUARD_BITS = 32
 
 # refinement budget: Gauss-Legendre panels 2, 4, 8, ... up to 2^10, and
 # trapezoid levels 0 .. 10
@@ -92,8 +92,7 @@ class MomentTable:
 
     def series(self):
         """Coefficient series sigma_n = beta_n for the Newton routes."""
-        sig = (mp.one,) + tuple(self.beta[1:])
-        return CoefficientSeries(sigmas=sig, precision=self.precision)
+        return CoefficientSeries(sigmas=self.beta, precision=self.precision)
 
 
 def _kernel_shape(chi):
@@ -133,7 +132,7 @@ def _theta_sum(base, consts, coef, bound, dps, stop_abs=None):
     the same terms of base and consts.
     """
     prec = libmp.dps_to_prec(dps)
-    wp = prec + _GUARD_BITS
+    wp = fixed_point_bits(dps)
     top = fzero
     for i, c in enumerate(consts):
         unit = bound(1, *(int(i == j) for j in range(len(consts))))
@@ -421,7 +420,7 @@ class XiEvaluator:
         # trapezoid step of level 0, t_cutoff / _TRAPEZOID_INTERVALS rounded
         # up to a float: every node j h is an exact mpf and covers t_cutoff
         self._h0 = mpf(math.nextafter(t_cut / _TRAPEZOID_INTERVALS, math.inf))._mpf_
-        self._wp = libmp.dps_to_prec(self._dps) + _GUARD_BITS
+        self._wp = fixed_point_bits(self._dps)
         self._levels = {}
         self._trapezoids = {}
         self._log_majorants = None
@@ -480,7 +479,7 @@ class XiEvaluator:
                     a[::2], a[1::2] = below, new
                     node_err += below_err / 2
             units = 2 * (n + 1) + (2 * sum(j * j * abs(aj) for j, aj in enumerate(a)) >> self._wp)
-            units += (sum(map(abs, a)) >> (self._wp - _GUARD_BITS - 1)) + 2
+            units += (sum(map(abs, a)) >> (self._wp - GUARD_BITS - 1)) + 2
             sweep_err = mp.make_mpf(from_man_exp(units * h[1], h[2] - self._wp))
             self._trapezoids[k] = (h, tuple(a), node_err, sweep_err)
         return self._trapezoids[k]
@@ -502,7 +501,7 @@ class XiEvaluator:
         for aj in a[:0:-1]:
             b1, b2 = aj + (x * b1 >> shift) - b2, b1
         total = a[0] + (x * b1 >> wp) - b2
-        return mp.make_mpf(from_man_exp(total * h[1], h[2] - wp, wp - _GUARD_BITS, _RND))
+        return mp.make_mpf(from_man_exp(total * h[1], h[2] - wp, wp - GUARD_BITS, _RND))
 
     def moment(self, n):
         """(b_n, error bound): the 2n-th kernel moment.
@@ -603,8 +602,7 @@ class XiEvaluator:
 
     def moment_table(self, order):
         """MomentTable with b_0..b_order, beta_0..beta_order, error bounds."""
-        if not isinstance(order, int) or order < 1:
-            raise DomainError(f"order must be a positive integer, got {order!r}")
+        check_order(order)
         if order > MOMENT_ORDER_CAP:
             raise LimitExceededError(
                 f"moment order {order} exceeds the cap {MOMENT_ORDER_CAP}"
@@ -616,8 +614,8 @@ class XiEvaluator:
         if self.chi is None:
             if not b0 > e0:
                 raise AccuracyError("zeroth moment is not certifiably positive")
-            for n, (bn, en) in enumerate(zip(b, errs)):
-                if not bn > en:
+            for n in range(1, order + 1):
+                if not b[n] > errs[n]:
                     raise AccuracyError(f"moment b_{n} is not certifiably positive")
         else:
             if abs(b0) <= 10 * e0:

@@ -13,7 +13,6 @@ from zerosum import (
     METHOD_RECURRENCE,
     CoefficientSeries,
     DomainError,
-    InsufficientCoefficientsError,
     PowerSumReport,
     SingularInputError,
     ZeroScaleError,
@@ -115,7 +114,7 @@ def test_recurrence_matches_brute_force_random(rng):
         lam = [Fraction(rng.randint(1, 400), 100) for _ in range(size)]
         order = rng.randint(1, size)
         series = _rational_series(lam, order)
-        rep = power_sums_recurrence(series, order=order)
+        rep = power_sums_recurrence(series)
         direct = power_sums_finite(lam, order, 50)
         for n in range(1, order + 1):
             assert rel_err(rep.value(n), direct[n - 1]) < mp.mpf("1e-44")
@@ -217,15 +216,17 @@ def test_determinant_route_builds_one_matrix(monkeypatch):
 
 
 def test_order_handling():
-    series = _rational_series([Fraction(1, 2), Fraction(1, 3)], 2)
-    with pytest.raises(InsufficientCoefficientsError):
-        power_sums_recurrence(series, order=3)
-    with pytest.raises(DomainError):
-        power_sums_recurrence(series, order=0)
+    # both routes give s_1..s_N for a series of order N, whatever the
+    # length of the zero list it came from
+    lam = [Fraction(1, 2), Fraction(1, 3)]
+    for order in (1, 2, 3):
+        series = _rational_series(lam, order)
+        direct = power_sums_finite(lam, order, 50)
+        for rep in (power_sums_recurrence(series), power_sums_determinant(series)):
+            assert rep.order == order
+            assert rel_err(rep.value(order), direct[-1]) < mp.mpf("1e-45")
     with pytest.raises(DomainError):
         power_sums_finite([1, 2], 0, 50)
-    rep = power_sums_recurrence(series, order=1)
-    assert rep.order == 1
 
 
 def test_series_from_finite_round_trip(rng):

@@ -74,9 +74,8 @@ def qairy_half():
 
 
 def test_zero_list_validation(bessel0):
-    def make(zeros, residuals, family="bessel"):
-        return ZeroList(zeros=zeros, residuals=residuals, family=family, precision=50,
-                        tol=mp.mpf("1e-25"))
+    def make(zeros, residuals, family="bessel", tol=mp.mpf("1e-25")):
+        return ZeroList(zeros=zeros, residuals=residuals, family=family, precision=50, tol=tol)
 
     with pytest.raises(DomainError):
         make((1, 2), (0,))
@@ -88,6 +87,11 @@ def test_zero_list_validation(bessel0):
     # when it is first summed
     with pytest.raises(DomainError, match="^unknown zero-list family 'x'$"):
         make((1, 2), (0, 0), family="x")
+    # a tol that is not a positive finite real would turn every bound
+    # summed from the list into a wrong bracket or a TypeError
+    for tol in (-1, 0, mp.mpf(-1), mp.inf, mp.nan, float("inf"), None, "1e-25"):
+        with pytest.raises(DomainError, match="^tol must be a positive finite real, got "):
+            make((1, 2), (0, 0), tol=tol)
     zl = make((2, 4), (0, 0))
     assert zl.count == 2
     assert (zl.lambda_mode, zl.tol_kind) == (MODE_SQUARED, "absolute")
@@ -632,26 +636,42 @@ def test_airy_zeros_match_scaled_airy_reference():
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
+def _qairy_series(q, z):
+    # direct summation of the defining series at the ambient precision
+    total = mp.one
+    term = mp.one
+    qq = mp.one
+    for n in range(1, 200):
+        qq *= 1 - q ** n
+        term = q ** (n * n) * (-z) ** n / qq
+        total += term
+        if abs(term) < mp.mpf("1e-70") * max(1, abs(total)):
+            break
+    return total
+
+
+def _qbessel_series(nu, q, x):
+    # series in x = z^2 with q-shifted factorial denominators
+    total = mp.one
+    num = mp.one
+    d1 = mp.one
+    d2 = mp.one
+    for n in range(1, 300):
+        d1 *= 1 - q ** n
+        d2 *= 1 - q ** (nu + n)
+        num *= -x / 4 * q ** (nu + 2 * n - 1)
+        total += num / (d1 * d2)
+        if abs(num / (d1 * d2)) < mp.mpf("1e-70") * max(1, abs(total)):
+            break
+    return total
+
+
 def test_qairy_zeros_by_independent_series_sign_change(qairy_half):
     q = mp.mpf(1) / 2
-
-    def raw_series(z):
-        # direct summation of the defining series at generous precision
-        total = mp.one
-        term = mp.one
-        qq = mp.one
-        for n in range(1, 200):
-            qq *= 1 - q ** n
-            term = q ** (n * n) * (-z) ** n / qq
-            total += term
-            if abs(term) < mp.mpf("1e-70") * max(1, abs(total)):
-                break
-        return total
-
     with mp.workdps(120):
         for z in qairy_half.zeros[:6]:
             eps = z * mp.mpf("1e-22")
-            assert raw_series(z - eps) * raw_series(z + eps) < 0
+            assert _qairy_series(q, z - eps) * _qairy_series(q, z + eps) < 0
 
 
 def test_qairy_zero_ratios_approach_inverse_q_squared(qairy_half):
@@ -667,27 +687,34 @@ def test_qbessel_zeros_by_independent_series_sign_change():
     q = mp.mpf(1) / 2
     zl = qbessel_zeros(0, "0.5", 12, 50)
     assert zl.lambda_mode == MODE_SQUARED
-
-    def raw_series(x):
-        # series in x = z^2 with q-shifted factorial denominators
-        total = mp.one
-        num = mp.one
-        d1 = mp.one
-        d2 = mp.one
-        for n in range(1, 300):
-            d1 *= 1 - q ** n
-            d2 *= 1 - q ** (nu + n)
-            num *= -x / 4 * q ** (nu + 2 * n - 1)
-            total += num / (d1 * d2)
-            if abs(num / (d1 * d2)) < mp.mpf("1e-70") * max(1, abs(total)):
-                break
-        return total
-
     with mp.workdps(120):
         for z in zl.zeros[:6]:
             x = z * z
             eps = x * mp.mpf("1e-20")
-            assert raw_series(x - eps) * raw_series(x + eps) < 0
+            assert _qbessel_series(nu, q, x - eps) * _qbessel_series(nu, q, x + eps) < 0
+
+
+# reference(k, z): mpmath's zero k, or the root near the located zero z of
+# the defining series summed directly
+@pytest.mark.parametrize(
+    "locate, args, reference",
+    [
+        (bessel_zeros, (0, 12), lambda k, z: mp.besseljzero(0, k)),
+        (airy_zeros, (12,), lambda k, z: _scaled_airy_zero(k)),
+        (qairy_zeros, ("0.5", 10),
+         lambda k, z: mp.findroot(lambda t: _qairy_series(mp.mpf(1) / 2, t), z)),
+        (qbessel_zeros, (0, "0.5", 10),
+         lambda k, z: mp.sqrt(mp.findroot(lambda x: _qbessel_series(0, mp.mpf(1) / 2, x), z * z))),
+        (xi_zeros, (3,), lambda k, z: mp.zetazero(k).imag),
+    ],
+    ids=["bessel", "airy", "qairy", "qbessel", "zeta"],
+)
+def test_zeros_at_odd_precision_lie_within_tol_of_references(locate, args, reference):
+    # at the odd prec = 31 the width goal 10^-(prec // 2) floors prec / 2,
+    # while the surviving digits prec / 2 + 8 = 23.5 keep the half
+    zl = locate(*args, 31)
+    assert rel_err(zl.tol, mp.mpf("1e-15")) < mp.mpf("1e-40")
+    _within_tol(zl, [reference(k, z) for k, z in enumerate(zl.zeros, 1)])
 
 
 def test_truncated_sum_brackets_bessel_closed_forms(bessel0):

@@ -43,7 +43,7 @@ from zerosum import (
 import zerosum
 import zerosum.cli
 from zerosum import oracle, zeta
-from zerosum.precision import to_real
+from zerosum.precision import GUARD_BITS, to_real
 
 from conftest import rel_err
 
@@ -708,7 +708,7 @@ def _mpf_fix(s, *xs):
 
 
 def _mpf_theta_sum(base, consts, coef, bound, dps, stop_abs=None):
-    wp = libmp.dps_to_prec(dps) + zeta._GUARD_BITS
+    wp = libmp.dps_to_prec(dps) + GUARD_BITS
     e = mp.mag(bound(1, *consts) * base)
     ints = [_mpf_fix(wp - e, c, base) for c in consts]
     e_pow, g_pow, b_sq = 1 << wp, _mpf_fix(wp, base, base, base), _mpf_fix(wp, base, base)
