@@ -15,6 +15,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, NotFundamentalError
+from .precision import check_integer
 
 VALIDATION_MODULUS_CAP = 1000
 
@@ -88,8 +89,7 @@ class DirichletCharacter:
 
     def __post_init__(self):
         m = self.modulus
-        if not isinstance(m, int) or m < 2:
-            raise DomainError(f"modulus must be an integer >= 2, got {m!r}")
+        check_integer(m, "modulus", 2)
         try:  # integers only: int() would truncate 0.4 to 0 and -1.9 to -1
             vals = tuple(operator.index(v) for v in self.values)
         except TypeError:

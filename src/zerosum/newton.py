@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .errors import DomainError, SingularInputError, ZeroScaleError
-from .precision import DEFAULT_PREC, check_precision, to_real, working
+from .precision import DEFAULT_PREC, check_integer, check_precision, pole_floor, to_real, working
 
 METHOD_RECURRENCE = "recurrence"
 METHOD_DETERMINANT = "determinant"
@@ -73,9 +73,7 @@ class PowerSumReport:
         return len(self.values)
 
     def value(self, n):
-        if not 1 <= n <= len(self.values):
-            raise DomainError(f"power sum index {n} outside 1..{len(self.values)}")
-        return self.values[n - 1]
+        return self.values[check_integer(n, "power sum index", 1, len(self.values)) - 1]
 
 
 def power_sums_recurrence(series):
@@ -99,6 +97,7 @@ def lower_triangular_system_matrix(sigmas, scale, n, prec=DEFAULT_PREC):
     the diagonal; the last column carries (-1)^(i-1) i sigma_i / scale^i.
     Rows/columns are 1-based in this description; returned as nested lists.
     """
+    check_integer(n, "matrix order", 1, len(sigmas) - 1)
     with working(prec, 15):
         c = to_real(scale, prec)
         if c == 0:
@@ -166,8 +165,7 @@ def elementary_symmetric_finite(lambdas, n, prec=DEFAULT_PREC):
 
     O(len * n) work; returns 0 when n exceeds the list length.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"elementary symmetric index must be >= 0, got {n!r}")
+    check_integer(n, "elementary symmetric index")
     with working(prec):
         vals = [to_real(v, prec) for v in lambdas]
         if n > len(vals):
@@ -188,12 +186,11 @@ def derivative_ratio_check(lambdas, z, n, prec=DEFAULT_PREC):
     lambda_k / (1 - lambda_k z).  Returns (lhs, rhs).
     """
     m = len(lambdas)
-    if not isinstance(n, int) or not 0 <= n <= m:
-        raise DomainError(f"derivative order must lie in 0..{m}, got {n!r}")
+    check_integer(n, "derivative order", 0, m)
     with working(prec, 15):
         vals = [to_real(v, prec) for v in lambdas]
         zv = to_real(z, prec)
-        floor = mpf(10) ** (-(prec / 2))
+        floor = pole_floor(prec)
         shifted = []
         for lam in vals:
             denom = 1 - lam * zv

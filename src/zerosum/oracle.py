@@ -60,12 +60,12 @@ from .errors import (
     AccuracyError,
     BracketFailureError,
     DomainError,
-    LimitExceededError,
     PrecisionExhaustedError,
     ScanExhaustedError,
 )
 from .precision import (
-    DEFAULT_PREC, check_order, check_precision, fixed_point_bits, to_real, working,
+    DEFAULT_PREC, check_integer, check_nu, check_order, check_precision, check_q,
+    fixed_point_bits, to_real, working,
 )
 from .zeta import XiEvaluator
 
@@ -73,6 +73,7 @@ BESSEL_COUNT_CAP = 500
 AIRY_COUNT_CAP = 200
 Q_COUNT_CAP = 200
 XI_COUNT_CAP = 50
+Q_MAX = "0.9"  # the q-families' locators take 0 < q <= Q_MAX
 
 MODE_SQUARED = "squared"
 MODE_PLAIN = "plain"
@@ -107,8 +108,10 @@ class ZeroList:
             raise DomainError("zeros and residuals must have equal length")
         if not self.zeros:
             raise DomainError("zero list is empty")
-        if not (isinstance(self.tol, (int, float, mpf)) and 0 < self.tol < mp.inf):
+        real = isinstance(self.tol, (int, float, mpf)) and not isinstance(self.tol, bool)
+        if not (real and 0 < self.tol < mp.inf):
             raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
+        check_integer(self.modulus, "modulus", 1)
         prev = 0
         for z in self.zeros:
             if not z > prev:
@@ -247,12 +250,12 @@ def _shift(n, s):
     return n << s if s >= 0 else n >> -s
 
 
-def _fixed_pass(wp, cut, head, ratios, shift=0, e0=0, drift=0):
+def _fixed_pass(wp, dps, head, ratios, shift=0, e0=0, drift=0):
     """Sum head + t_1 + ... in fixed point, t_(k+1) = floor(t_k num_k 2^-shift / den_k).
 
-    Terms are integers in units of 2^-wp.  With `cut` = 10^(dps - 2) the
-    pass stops after the first term below 10^(2 - dps) times the largest
-    so far; with cut = 0 it sums every ratio `ratios` yields.  Returns
+    Terms are integers in units of 2^-wp.  With `dps` given the pass
+    stops after the first term below 10^(2 - dps) times the largest so
+    far; with dps = None it sums every ratio `ratios` yields.  Returns
     (total, maxmag, size, n, last, err): the sum, the largest term, the
     sum of |terms|, the number of ratios applied, the last term, and a
     bound on |total - exact sum of the same n + 1 terms| (None where the
@@ -271,6 +274,7 @@ def _fixed_pass(wp, cut, head, ratios, shift=0, e0=0, drift=0):
     once the coefficients of S add to at most 1/4; the factor 2 applied
     below covers the difference between exact and computed terms in S.
     """
+    cut = 0 if dps is None else 10 ** (dps - 2)
     t = total = head
     maxmag = size = abs(head)
     n = 0
@@ -335,7 +339,7 @@ def _bessel_pass(nu, z, dps):
     if shift < 0:
         num, shift = num << -shift, 0
     ratios = ((num, k * (nun + (k << s))) for k in range(1, _TERM_CAP))
-    total, maxmag, _, n, _, err = _fixed_pass(wp, 10 ** (dps - 2), 1 << wp, ratios, shift)
+    total, maxmag, _, n, _, err = _fixed_pass(wp, dps, 1 << wp, ratios, shift)
     return _series_result(wp, dps, total, maxmag, n, err)
 
 
@@ -410,7 +414,7 @@ def _hankel_pass(nu, z, dps, length, scale):
             for j in range(k, _TERM_CAP, 2)
         )
         total, _, part, _, last, bound = _fixed_pass(
-            wp, 0, head, itertools.islice(ratios, length - 1), shift, e0
+            wp, None, head, itertools.islice(ratios, length - 1), shift, e0
         )
         if bound is None:
             return mp.zero, -math.inf
@@ -498,7 +502,6 @@ def _airy_pass(z, dps, heads):
     and z L2 is formed exactly on the integers.
     """
     wp = fixed_point_bits(dps)
-    cut = 10 ** (dps - 2)
     zm, ze = _parts(z)
     num, shift = -zm**3, -3 * ze
     if shift < 0:
@@ -507,7 +510,7 @@ def _airy_pass(z, dps, heads):
     for head, sign in zip(heads(wp), (-1, 1)):
         # each lane's generator is used up before `sign` moves on
         ratios = ((num, 9 * k * (3 * k + sign)) for k in range(1, _TERM_CAP))
-        lanes.append(_fixed_pass(wp, cut, head, ratios, shift, e0=2))
+        lanes.append(_fixed_pass(wp, dps, head, ratios, shift, e0=2))
     (s1, m1, _, n1, _, e1), (s2, m2, _, n2, _, e2) = lanes
     up, down = max(ze, 0), max(-ze, 0)  # units of 2^(min(ze, 0) - wp)
     total = (s1 << down) + (zm * s2 << up)
@@ -565,7 +568,7 @@ def _qairy_pass(q, z, dps):
 
     drift = -(-one // (one - q1))
     total, maxmag, _, n, _, err = _fixed_pass(
-        wp, 10 ** (dps - 2), one, ratios(_shift(zm * qm, ze + qe + wp), q1), drift=drift
+        wp, dps, one, ratios(_shift(zm * qm, ze + qe + wp), q1), drift=drift
     )
     return _series_result(wp, dps, total, maxmag, n, err)
 
@@ -612,7 +615,7 @@ def _qbessel_pass(q, qn, x, dps):
     drift = -(-2 * one * one // ((one - q1) * (one - w1))) + 1
     zq = _shift(xm * qm * nm, xe + qe + ne - 2 + wp)
     total, maxmag, _, n, _, err = _fixed_pass(
-        wp, 10 ** (dps - 2), one, ratios(zq, q1, w1), drift=drift
+        wp, dps, one, ratios(zq, q1, w1), drift=drift
     )
     return _series_result(wp, dps, total, maxmag, n, err)
 
@@ -931,11 +934,7 @@ _FAMILIES["qbessel"] = _FAMILIES["qairy"]._replace(mode=MODE_SQUARED)
 
 def _check_count(count, family, prec):
     check_precision(prec)
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    cap = _FAMILIES[family].cap
-    if count > cap:
-        raise LimitExceededError(f"count {count} exceeds the cap {cap}")
+    check_integer(count, "count", 1, cap=_FAMILIES[family].cap)
 
 
 def _zero_list(family, zeros, residuals, prec, tol, note="", modulus=1):
@@ -943,17 +942,6 @@ def _zero_list(family, zeros, residuals, prec, tol, note="", modulus=1):
         zeros=tuple(zeros), residuals=tuple(residuals), family=family, precision=prec,
         tol=+tol, modulus=modulus, note=note,
     )
-
-
-def _q_values(q, nu, prec):
-    """q and nu (None for q-Airy) as reals, with 0 < q <= 0.9 and nu > -1."""
-    qv = to_real(q, prec)
-    nuv = None if nu is None else to_real(nu, prec)
-    if not 0 < qv <= mpf("0.9"):
-        raise DomainError(f"q must satisfy 0 < q <= 0.9, got {q}")
-    if nu is not None and not nuv > -1:
-        raise DomainError(f"q-Bessel order must satisfy nu > -1, got {nu}")
-    return qv, nuv
 
 
 def _ratio_locate(f, count, q, tol, start, ratio, label):
@@ -987,9 +975,7 @@ def bessel_zeros(nu, count, prec=DEFAULT_PREC):
     """
     _check_count(count, "bessel", prec)
     with working(prec, 15):
-        nuv = to_real(nu, prec)
-        if not nuv > -1:
-            raise DomainError(f"Bessel order must satisfy nu > -1, got {nu}")
+        nuv = check_nu(nu, prec)
         f = _make_bessel_eval(nuv, prec)
         xtol = _goals(prec).width
         step = mp.pi / 8
@@ -1045,7 +1031,7 @@ def qairy_zeros(q, count, prec=DEFAULT_PREC):
     """
     _check_count(count, "qairy", prec)
     with working(prec, 15):
-        qv, _ = _q_values(q, None, prec)
+        qv = check_q(q, prec, Q_MAX)
         f = _make_qairy_eval(qv, prec)
         rtol = _goals(prec).width
         # first zero is at least (1-q)/q (reciprocal of the first sum)
@@ -1067,7 +1053,8 @@ def qbessel_zeros(nu, q, count, prec=DEFAULT_PREC):
     """
     _check_count(count, "qbessel", prec)
     with working(prec, 15):
-        qv, nuv = _q_values(q, nu, prec)
+        qv = check_q(q, prec, Q_MAX)
+        nuv = check_nu(nu, prec, "q-Bessel")
         f = _make_qbessel_eval(nuv, qv, prec)
         rtol = _goals(prec).width
         sigma1 = qv ** (nuv + 1) / (4 * (1 - qv) * (1 - qv ** (nuv + 1)))

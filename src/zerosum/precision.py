@@ -31,9 +31,49 @@ def check_precision(prec):
     return prec
 
 
+def check_integer(value, name, low=0, high=None, cap=None):
+    """value, if it is an int (a bool is not) in low..high, else DomainError;
+    past a documented hard cap, LimitExceededError.  Orders, counts and
+    indices are all checked here."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or high is not None and value > high):
+        if high is not None:
+            span = f"an integer in {low}..{high}"
+        else:
+            span = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+        raise DomainError(f"{name} must be {span}, got {value!r}")
+    if cap is not None and value > cap:
+        raise LimitExceededError(f"{name} {value} exceeds the cap {cap}")
+    return value
+
+
 def check_order(order):
-    if not isinstance(order, int) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")
+    """Every power sum and moment table has a positive order."""
+    check_integer(order, "order", 1)
+
+
+def check_nu(nu, prec, label="Bessel"):
+    """nu as a real at prec digits; the (q-)Bessel families need nu > -1."""
+    nuv = to_real(nu, prec)
+    if not nuv > -1:
+        raise DomainError(f"{label} order must satisfy nu > -1, got {nu}")
+    return nuv
+
+
+def check_q(q, prec, high=None):
+    """q as a real at prec digits, with 0 < q < 1, or 0 < q <= high when
+    the decimal string high is given (compared at the caller's precision)."""
+    qv = to_real(q, prec)
+    if not (0 < qv < 1 if high is None else 0 < qv <= mpf(high)):
+        rule = "< 1" if high is None else f"<= {high}"
+        raise DomainError(f"q must satisfy 0 < q {rule}, got {q}")
+    return qv
+
+
+def pole_floor(prec):
+    """10^(-prec/2), at the caller's precision: how near a pole or a zero
+    a value at prec digits may come before it has no meaningful value."""
+    return mpf(10) ** (-(prec / 2))
 
 
 def fixed_point_bits(dps):
@@ -74,7 +114,7 @@ def gamma(x, prec=DEFAULT_PREC):
     with working(prec):
         xv = to_real(x, prec)
         nearest = mp.nint(xv)
-        if nearest <= 0 and abs(xv - nearest) < mpf(10) ** (-(prec / 2)):
+        if nearest <= 0 and abs(xv - nearest) < pole_floor(prec):
             raise PoleError(f"gamma pole at non-positive integer near x = {xv}")
         return +mp.gamma(xv)
 
@@ -93,19 +133,12 @@ def _bernoulli_table():
 
 def bernoulli(k):
     """Exact Bernoulli number B_k as a Fraction (B_1 = -1/2 convention)."""
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"Bernoulli index must be a non-negative integer, got {k!r}")
-    if k > BERNOULLI_MAX_INDEX:
-        raise LimitExceededError(
-            f"Bernoulli index {k} exceeds the supported maximum {BERNOULLI_MAX_INDEX}"
-        )
-    return _bernoulli_table()[k]
+    return _bernoulli_table()[check_integer(k, "Bernoulli index", cap=BERNOULLI_MAX_INDEX)]
 
 
 def pochhammer(a, n, prec=DEFAULT_PREC):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"pochhammer order must be a non-negative integer, got {n!r}")
+    check_integer(n, "pochhammer order")
     with working(prec):
         av = to_real(a, prec)
         out = mp.one
@@ -114,19 +147,12 @@ def pochhammer(a, n, prec=DEFAULT_PREC):
         return +out
 
 
-def _check_q(q):
-    if not (0 < q < 1):
-        raise DomainError(f"q must satisfy 0 < q < 1, got {q}")
-
-
 def q_pochhammer_finite(z, q, n, prec=DEFAULT_PREC):
     """Finite q-shifted factorial (z; q)_n = prod_{k=0}^{n-1} (1 - z q^k)."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"q-pochhammer order must be a non-negative integer, got {n!r}")
+    check_integer(n, "q-pochhammer order")
     with working(prec):
         zv = to_real(z, prec)
-        qv = to_real(q, prec)
-        _check_q(qv)
+        qv = check_q(q, prec)
         out = mp.one
         qk = mp.one
         for _ in range(n):

@@ -12,6 +12,7 @@ import functools
 from mpmath import mp, mpf
 
 from .errors import AccuracyError, DomainError
+from .precision import check_integer
 
 
 def _legendre_pair(m, x):
@@ -25,8 +26,7 @@ def _legendre_pair(m, x):
 @functools.lru_cache(maxsize=64)
 def legendre_rule(points, dps):
     """Gauss-Legendre nodes and weights on [-1, 1], ascending tuple pairs."""
-    if not isinstance(points, int) or points < 2:
-        raise DomainError(f"rule needs at least 2 points, got {points!r}")
+    check_integer(points, "point count", 2)
     with mp.workdps(dps + 20):
         tol = mpf(10) ** (-(dps + 10))
         half = []
@@ -56,8 +56,7 @@ def legendre_rule(points, dps):
 
 def panel_grid(a, b, panels, points, dps):
     """Scaled (node, weight) pairs for `panels` uniform panels over [a, b]."""
-    if not isinstance(panels, int) or panels < 1:
-        raise DomainError(f"panel count must be a positive integer, got {panels!r}")
+    check_integer(panels, "panel count", 1)
     with mp.workdps(dps + 20):
         av, bv = mpf(a), mpf(b)
         if not bv > av:

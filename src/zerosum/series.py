@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import DomainError
 from .newton import CoefficientSeries
 from .precision import (
     DEFAULT_PREC,
+    check_integer,
+    check_nu,
     check_order,
+    check_q,
     gamma,
     pi_value,
     pochhammer,
@@ -34,8 +36,7 @@ class BesselParams:
     nu: object
 
     def __post_init__(self):
-        if not to_real(self.nu, DEFAULT_PREC) > -1:
-            raise DomainError(f"Bessel order must satisfy nu > -1, got {self.nu}")
+        check_nu(self.nu, DEFAULT_PREC)
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,8 @@ class QBesselParams:
     q: object
 
     def __post_init__(self):
-        if not to_real(self.nu, DEFAULT_PREC) > -1:
-            raise DomainError(f"q-Bessel order must satisfy nu > -1, got {self.nu}")
-        qv = to_real(self.q, DEFAULT_PREC)
-        if not 0 < qv < 1:
-            raise DomainError(f"q must satisfy 0 < q < 1, got {self.q}")
+        check_nu(self.nu, DEFAULT_PREC, "q-Bessel")
+        check_q(self.q, DEFAULT_PREC)
 
 
 def sinc_sigmas(order, prec=DEFAULT_PREC):
@@ -77,8 +75,7 @@ def bessel_sigmas(params, order, prec=DEFAULT_PREC):
 
 def airy_raw_coefficient(n, prec=DEFAULT_PREC):
     """Raw Taylor coefficient of the Airy-type product, before normalization."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {n!r}")
+    check_integer(n, "coefficient index")
     with working(prec, 15):
         pi = pi_value(prec)
         front = mp.sqrt(3) * gamma(mpf(2) / 3, prec) ** 2 / (mp.cbrt(4) * pi)
@@ -124,9 +121,7 @@ def qairy_sigmas(q, order, prec=DEFAULT_PREC):
     """sigma_n = q^(n^2) / (q;q)_n for plain (not squared) q-Airy zeros."""
     check_order(order)
     with working(prec):
-        qv = to_real(q, prec)
-        if not 0 < qv < 1:
-            raise DomainError(f"q must satisfy 0 < q < 1, got {q}")
+        qv = check_q(q, prec)
         sig = [mp.one]
         for n in range(1, order + 1):
             sig.append(+(qv ** (n * n) / q_pochhammer_finite(qv, qv, n, prec)))
@@ -135,6 +130,7 @@ def qairy_sigmas(q, order, prec=DEFAULT_PREC):
 
 def bessel_s_closed(params, k, prec=DEFAULT_PREC):
     """Closed-form s_k, k = 1..5, for squared Bessel zeros."""
+    check_integer(k, "closed-form index k", 1, 5)
     with working(prec, 15):
         nu = to_real(params.nu, prec)
 
@@ -152,13 +148,12 @@ def bessel_s_closed(params, k, prec=DEFAULT_PREC):
             return +(2 * ph(nu + 2, 1) / d(3))
         if k == 4:
             return +((5 * nu + 11) * ph(nu + 2, 2) / d(4))
-        if k == 5:
-            return +(2 * (7 * nu + 19) * ph(nu + 2, 2) * ph(nu + 2, 3) / d(5))
-    raise DomainError(f"closed form available for k = 1..5, got {k!r}")
+        return +(2 * (7 * nu + 19) * ph(nu + 2, 2) * ph(nu + 2, 3) / d(5))
 
 
 def qbessel_s_closed(params, k, prec=DEFAULT_PREC):
     """Closed-form s_k, k = 1..3, for squared q-Bessel zeros."""
+    check_integer(k, "closed-form index k", 1, 3)
     with working(prec, 15):
         q = to_real(params.q, prec)
         nu = to_real(params.nu, prec)
@@ -174,24 +169,20 @@ def qbessel_s_closed(params, k, prec=DEFAULT_PREC):
             num = qt**2 * (1 + 2 * q - q**2 * t)
             den = 16 * (1 - q**2) * (1 - qt) * qp(qt, 2)
             return +(num / den)
-        if k == 3:
-            num = qt**3 * (
-                1 + 3 * q + 3 * q**2 + 3 * q**3
-                - q**2 * t - q**3 * t - 3 * q**4 * t
-                + q**5 * t**2
-            )
-            den = 64 * (1 - q**3) * (1 - qt) ** 2 * qp(qt, 3)
-            return +(num / den)
-    raise DomainError(f"closed form available for k = 1..3, got {k!r}")
+        num = qt**3 * (
+            1 + 3 * q + 3 * q**2 + 3 * q**3
+            - q**2 * t - q**3 * t - 3 * q**4 * t
+            + q**5 * t**2
+        )
+        den = 64 * (1 - q**3) * (1 - qt) ** 2 * qp(qt, 3)
+        return +(num / den)
 
 
 def qairy_s_closed(q, k, prec=DEFAULT_PREC):
     """Closed-form s_k, k = 1..5, for plain q-Airy zeros."""
     with working(prec, 15):
-        qv = to_real(q, prec)
-        if not 0 < qv < 1:
-            raise DomainError(f"q must satisfy 0 < q < 1, got {q}")
-
+        qv = check_q(q, prec)
+        check_integer(k, "closed-form index k", 1, 5)
         if k == 1:
             return +(qv / (1 - qv))
         if k == 2:
@@ -201,13 +192,11 @@ def qairy_s_closed(q, k, prec=DEFAULT_PREC):
         if k == 4:
             num = (1 + 2 * qv + 2 * qv**3) * (1 + 2 * qv + 2 * qv**2 + 2 * qv**3)
             return +(qv**4 * num / (1 - qv**4))
-        if k == 5:
-            num = (
-                1 + 5 * qv + 10 * qv**2 + 15 * qv**3 + 20 * qv**4 + 20 * qv**5
-                + 20 * qv**6 + 15 * qv**7 + 10 * qv**8 + 5 * qv**9 + 5 * qv**10
-            )
-            return +(qv**5 * num / (1 - qv**5))
-    raise DomainError(f"closed form available for k = 1..5, got {k!r}")
+        num = (
+            1 + 5 * qv + 10 * qv**2 + 15 * qv**3 + 20 * qv**4 + 20 * qv**5
+            + 20 * qv**6 + 15 * qv**7 + 10 * qv**8 + 5 * qv**9 + 5 * qv**10
+        )
+        return +(qv**5 * num / (1 - qv**5))
 
 
 def _prod(items):

@@ -47,15 +47,10 @@ from mpmath.libmp import (
 )
 
 from .characters import DirichletCharacter
-from .errors import (
-    AccuracyError,
-    DomainError,
-    LimitExceededError,
-    VanishingMomentError,
-)
+from .errors import AccuracyError, DomainError, VanishingMomentError
 from .newton import CoefficientSeries
 from .precision import (
-    DEFAULT_PREC, GUARD_BITS, check_order, check_precision, fixed_point_bits, to_real, working,
+    DEFAULT_PREC, GUARD_BITS, check_integer, check_precision, fixed_point_bits, to_real, working,
 )
 from .quadrature import panel_grid
 
@@ -511,12 +506,7 @@ class XiEvaluator:
         by the largest weight t^(2n) on [0, t_cutoff], and the tail beyond
         t_cutoff.
         """
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"moment index must be >= 0, got {n!r}")
-        if n > MOMENT_ORDER_CAP:
-            raise LimitExceededError(
-                f"moment order {n} exceeds the cap {MOMENT_ORDER_CAP}"
-            )
+        check_integer(n, "moment order", cap=MOMENT_ORDER_CAP)
         prec = libmp.dps_to_prec(self._dps)
         with mp.workdps(self._dps):
             wmax = max(mp.one, self.t_cutoff ** (2 * n))
@@ -602,11 +592,7 @@ class XiEvaluator:
 
     def moment_table(self, order):
         """MomentTable with b_0..b_order, beta_0..beta_order, error bounds."""
-        check_order(order)
-        if order > MOMENT_ORDER_CAP:
-            raise LimitExceededError(
-                f"moment order {order} exceeds the cap {MOMENT_ORDER_CAP}"
-            )
+        check_integer(order, "moment order", 1, cap=MOMENT_ORDER_CAP)
         pairs = [self.moment(n) for n in range(order + 1)]
         b = tuple(p[0] for p in pairs)
         errs = tuple(p[1] for p in pairs)
@@ -649,8 +635,7 @@ def dirichlet_moments(chi, order, prec=DEFAULT_PREC):
 
 def riemann_s_closed(b, k, prec=DEFAULT_PREC):
     """Closed-form power sums s_1..s_4 in terms of the raw moments."""
-    if not isinstance(k, int) or not 1 <= k <= 4:
-        raise DomainError(f"closed form available for k = 1..4, got {k!r}")
+    check_integer(k, "closed-form index k", 1, 4)
     if len(b) < k + 1:
         raise DomainError(f"need moments b_0..b_{k}, got {len(b)} entries")
     with working(prec, 15):

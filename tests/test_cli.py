@@ -397,3 +397,29 @@ def test_oracle_rejects_bad_q(runner):
         main, ["oracle", "--function", "qairy", "--q", "0.95", "--count", "3"]
     )
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sums", "--function", "qairy", "--q", "3/2"], "q must satisfy 0 < q < 1, got 3/2"),
+        (["oracle", "--function", "qairy", "--q", "19/20"],
+         "q must satisfy 0 < q <= 0.9, got 19/20"),
+        (["sums", "--function", "qbessel", "--nu", "-2", "--q", "1/2"],
+         "q-Bessel order must satisfy nu > -1, got -2"),
+        (["sums", "--function", "bessel", "--nu", "-2"],
+         "Bessel order must satisfy nu > -1, got -2"),
+        (["oracle", "--function", "airy", "--count", "0"], "count must be a positive integer, got 0"),
+        (["moments", "--function", "zeta", "--order", "13"], "moment order 13 exceeds the cap 12"),
+        (["verify", "--function", "qairy", "--q", "0"], "q must satisfy 0 < q < 1, got 0"),
+        (["sums", "--function", "qairy", "--q", "1"], "q must satisfy 0 < q < 1, got 1"),
+        (["oracle", "--function", "qairy", "--q", "3/2"], "q must satisfy 0 < q <= 0.9, got 3/2"),
+    ],
+)
+def test_out_of_domain_arguments_exit_2_with_their_message(runner, args, message):
+    # the library's DomainError and LimitExceededError texts cross the CLI
+    # boundary as they are, each on one stderr line
+    res = runner.invoke(main, args + ["--precision", "30"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
