@@ -22,7 +22,7 @@ VALIDATION_MODULUS_CAP = 1000
 
 def kronecker_symbol(a, n):
     """Kronecker symbol (a/n) for integer a and non-negative integer n."""
-    if not isinstance(a, int) or not isinstance(n, int):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (a, n)):
         raise DomainError("kronecker symbol takes integer arguments")
     if n < 0:
         raise DomainError("kronecker symbol is used with n >= 0 here")

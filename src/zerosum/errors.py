@@ -39,10 +39,6 @@ class PoleError(NumericError, ArithmeticError):
     """Evaluation was requested at (or indistinguishably close to) a pole."""
 
 
-class SingularInputError(NumericError):
-    """An evaluation point sits on or too near a zero of the denominator."""
-
-
 class AccuracyError(NumericError):
     """The target accuracy could not be certified."""
 

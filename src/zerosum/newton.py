@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .errors import DomainError, SingularInputError, ZeroScaleError
-from .precision import DEFAULT_PREC, check_integer, check_precision, pole_floor, to_real, working
+from .errors import DomainError, ZeroScaleError
+from .precision import DEFAULT_PREC, check_integer, check_precision, to_real, working
 
 METHOD_RECURRENCE = "recurrence"
 METHOD_DETERMINANT = "determinant"
@@ -158,61 +158,3 @@ def power_sums_determinant(series, scale=-1):
             for n in range(1, order + 1)
         ]
     return PowerSumReport(values=tuple(values), method=METHOD_DETERMINANT, precision=prec)
-
-
-def elementary_symmetric_finite(lambdas, n, prec=DEFAULT_PREC):
-    """e_n of a finite list by the one-pass coefficient recurrence.
-
-    O(len * n) work; returns 0 when n exceeds the list length.
-    """
-    check_integer(n, "elementary symmetric index")
-    with working(prec):
-        vals = [to_real(v, prec) for v in lambdas]
-        if n > len(vals):
-            return mp.zero
-        e = [mp.one] + [mp.zero] * n
-        for x in vals:
-            top = min(n, len(e) - 1)
-            for k in range(top, 0, -1):
-                e[k] += x * e[k - 1]
-        return +e[n]
-
-
-def derivative_ratio_check(lambdas, z, n, prec=DEFAULT_PREC):
-    """Both sides of the n-th derivative identity for f = prod (1 - lambda_k z).
-
-    Left side: (-1)^n f^(n)(z) / (n! f(z)) computed from the polynomial
-    coefficients.  Right side: e_n of the shifted values
-    lambda_k / (1 - lambda_k z).  Returns (lhs, rhs).
-    """
-    m = len(lambdas)
-    check_integer(n, "derivative order", 0, m)
-    with working(prec, 15):
-        vals = [to_real(v, prec) for v in lambdas]
-        zv = to_real(z, prec)
-        floor = pole_floor(prec)
-        shifted = []
-        for lam in vals:
-            denom = 1 - lam * zv
-            if abs(denom) < floor:
-                raise SingularInputError(
-                    f"evaluation point too close to the zero 1/{lam}"
-                )
-            shifted.append(lam / denom)
-        # coef[j] = (-1)^j e_j, the polynomial coefficients of f.
-        coef = [((-1) ** j) * elementary_symmetric_finite(vals, j, prec)
-                for j in range(m + 1)]
-        fz = mp.zero
-        for j in range(m, -1, -1):
-            fz = fz * zv + coef[j]
-        if abs(fz) < floor:
-            raise SingularInputError("f(z) vanishes at the evaluation point")
-        deriv = mp.zero
-        for j in range(n, m + 1):
-            fall = mp.one
-            for t in range(n):
-                fall *= j - t
-            deriv += coef[j] * fall * zv ** (j - n)
-        lhs = ((-1) ** n) * deriv / (mp.factorial(n) * fz)
-        rhs = elementary_symmetric_finite(shifted, n, prec)
-        return +lhs, +rhs

@@ -1104,7 +1104,7 @@ def xi_zeros(count, prec=DEFAULT_PREC, chi=None):
     m, c, scan_lo = (1, 0.875, 10) if chi is None else (chi.modulus, (2 * chi.parity - 1) / 8, 0)
     with working(prec, 15):
         t_end = _ordinate_for_count(count + 1, m, c) + 2.0
-        _, bulk_err = ev.calibrate_transform([t_end])
+        _, bulk_err = ev.calibrate_transform(t_end)
 
         def f(z):
             return ev.transform_at(z)[0]

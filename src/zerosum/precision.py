@@ -53,10 +53,12 @@ def check_order(order):
 
 
 def check_nu(nu, prec, label="Bessel"):
-    """nu as a real at prec digits; the (q-)Bessel families need nu > -1."""
+    """nu as a real at prec digits; the (q-)Bessel families need a finite
+    nu > -1."""
     nuv = to_real(nu, prec)
-    if not nuv > -1:
-        raise DomainError(f"{label} order must satisfy nu > -1, got {nu}")
+    if not -1 < nuv < mp.inf:
+        rule = "be finite" if nuv > -1 else "satisfy nu > -1"
+        raise DomainError(f"{label} order must {rule}, got {nu}")
     return nuv
 
 
@@ -68,12 +70,6 @@ def check_q(q, prec, high=None):
         rule = "< 1" if high is None else f"<= {high}"
         raise DomainError(f"q must satisfy 0 < q {rule}, got {q}")
     return qv
-
-
-def pole_floor(prec):
-    """10^(-prec/2), at the caller's precision: how near a pole or a zero
-    a value at prec digits may come before it has no meaningful value."""
-    return mpf(10) ** (-(prec / 2))
 
 
 def fixed_point_bits(dps):
@@ -92,12 +88,19 @@ def to_real(value, prec=DEFAULT_PREC):
     """Convert int/Fraction/str/float to an mpmath float at ``prec`` digits.
 
     Strings are parsed as exact decimal literals.  Floats are accepted but
-    carry only their native 53-bit payload.
+    carry only their native 53-bit payload.  Anything mpmath cannot read
+    as a real number, a complex one included, raises DomainError.
     """
     with working(prec):
         if isinstance(value, Fraction):
             return mpf(value.numerator) / value.denominator
-        return +mpmathify(value)
+        try:
+            real = +mpmathify(value)
+        except TypeError:
+            real = None
+        if not isinstance(real, mpf):
+            raise DomainError(f"expected a real number, got {value!r}")
+        return real
 
 
 def pi_value(prec=DEFAULT_PREC):
@@ -114,7 +117,7 @@ def gamma(x, prec=DEFAULT_PREC):
     with working(prec):
         xv = to_real(x, prec)
         nearest = mp.nint(xv)
-        if nearest <= 0 and abs(xv - nearest) < pole_floor(prec):
+        if nearest <= 0 and abs(xv - nearest) < mpf(10) ** (-(prec / 2)):
             raise PoleError(f"gamma pole at non-positive integer near x = {xv}")
         return +mp.gamma(xv)
 

@@ -554,11 +554,11 @@ class XiEvaluator:
             best = min(best, log_m + a * z_max - x - math.log1p(-math.exp(-x)))
         return best
 
-    def calibrate_transform(self, z_probes):
+    def calibrate_transform(self, z_max):
         """Fix a single trapezoid level for bulk transform evaluation.
 
-        Locks the lowest level k whose discretization bound at z_max =
-        max |probe| (`_log_strip_bound`) is at most 10^-target_digits
+        Locks the lowest level k whose discretization bound at |z_max|
+        (`_log_strip_bound`) is at most 10^-target_digits
         e^(-pi z_max / 4): the transform decays like e^(-pi z / 4), so an
         absolute target alone would leave its top values without digits.
         Only levels 0..k are built, and nothing is swept.  Returns (k,
@@ -567,11 +567,8 @@ class XiEvaluator:
         rounding bound and the omitted nodes past t_cutoff.  Bulk zero
         scans use transform_at() afterwards, one sweep per argument.
         """
-        probes = tuple(z_probes)
-        if not probes:
-            raise DomainError("calibration needs at least one probe argument")
         with mp.workdps(self._dps):
-            z_max = max(math.nextafter(float(abs(to_real(z, self._dps))), math.inf) for z in probes)
+            z_max = math.nextafter(float(abs(to_real(z_max, self._dps))), math.inf)
         log_target = -self.target_digits * math.log(10) - math.pi * z_max / 4
         for k in range(_MAX_DOUBLINGS + 1):
             log_strip = self._log_strip_bound(k, z_max)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from mpmath import mp
@@ -63,19 +62,13 @@ def det_fraction(rows):
     return det
 
 
-def esym_subsets(values, n):
-    """Elementary symmetric e_n by explicit subset enumeration (small lists)."""
-    if n == 0:
-        return mp.one
-    if n > len(values):
-        return mp.zero
-    total = mp.zero
-    for combo in combinations(values, n):
-        prod = mp.one
-        for v in combo:
-            prod *= v
-        total += prod
-    return total
+def esym_exact(values):
+    """Elementary symmetric e_0..e_m of a finite list, exact for rational
+    values: the coefficients of prod (1 + v w), one factor at a time."""
+    e = [Fraction(1)]
+    for v in values:
+        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
+    return e
 
 
 def random_rational(rng, lo_num, hi_num, den):

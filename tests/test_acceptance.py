@@ -16,6 +16,7 @@ from mpmath import mp
 
 from zerosum import (
     BesselParams,
+    CoefficientSeries,
     QBesselParams,
     airy_raw_coefficient,
     airy_sigmas,
@@ -23,7 +24,6 @@ from zerosum import (
     bessel_s_closed,
     bessel_sigmas,
     bessel_zeros,
-    derivative_ratio_check,
     determinant,
     dirichlet_moments,
     gamma,
@@ -45,7 +45,7 @@ from zerosum import (
     xi_zeros,
 )
 
-from conftest import ACCEPTANCE_LINES, bernoulli_reference, det_fraction, rel_err
+from conftest import ACCEPTANCE_LINES, bernoulli_reference, det_fraction, esym_exact, rel_err
 
 
 @pytest.fixture(autouse=True)
@@ -317,6 +317,10 @@ def test_criterion_8_dirichlet_kernels_and_first_sums():
 
 
 def test_criterion_9_derivative_identity_and_scale_invariance(rng):
+    # f = prod (1 - lambda_k w) has Taylor coefficients a_j = f^(j)(z) / j!
+    # at z, and f(z + u) / f(z) = prod (1 - mu_k u) with mu_k the shifted
+    # values lambda_k / (1 - lambda_k z): (-1)^j a_j / a_0 is e_j(mu), so
+    # the recurrence on those coefficients must return sum mu_k^j
     def body(failures, notes):
         tol_d = mp.mpf("1e-30")
         for trial in range(100):
@@ -327,12 +331,20 @@ def test_criterion_9_derivative_identity_and_scale_invariance(rng):
                 if all(lam * z != 1 for lam in lams):
                     break
             n = rng.randint(1, min(4, m))
-            lhs, rhs = derivative_ratio_check(lams, z, n, 50)
-            if rel_err(lhs, rhs) > tol_d:
-                failures.append(
-                    f"trial {trial}: derivative identity off by "
-                    f"{mp.nstr(rel_err(lhs, rhs), 3)}"
-                )
+            coef = [(-1) ** j * e for j, e in enumerate(esym_exact(lams))]
+            taylor = [
+                sum(c * math.comb(j, i) * z ** (j - i) for j, c in enumerate(coef[i:], i))
+                for i in range(n + 1)
+            ]
+            sigmas = [(-1) ** i * a / taylor[0] for i, a in enumerate(taylor)]
+            rec = power_sums_recurrence(CoefficientSeries(sigmas=tuple(sigmas), precision=50))
+            shifted = [lam / (1 - lam * z) for lam in lams]
+            for k in range(1, n + 1):
+                err = rel_err(rec.value(k), to_real(sum(mu**k for mu in shifted), 70))
+                if err > tol_d:
+                    failures.append(
+                        f"trial {trial}, order {k}: derivative identity off by {mp.nstr(err, 3)}"
+                    )
         providers = (
             ("sinc", sinc_sigmas(20, 50)),
             ("bessel nu=0", bessel_sigmas(BesselParams(nu=0), 20, 50)),

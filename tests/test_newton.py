@@ -1,9 +1,8 @@
-"""Power-sum engine: recurrence, determinant route, finite-list helpers."""
+"""Power-sum engine: the recurrence and the determinant route."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from mpmath import mp
@@ -14,11 +13,8 @@ from zerosum import (
     CoefficientSeries,
     DomainError,
     PowerSumReport,
-    SingularInputError,
     ZeroScaleError,
-    derivative_ratio_check,
     determinant,
-    elementary_symmetric_finite,
     lower_triangular_system_matrix,
     newton,
     power_sums_determinant,
@@ -27,7 +23,7 @@ from zerosum import (
     working,
 )
 
-from conftest import det_fraction, esym_subsets, rel_err
+from conftest import det_fraction, esym_exact, rel_err
 
 
 def power_sums_finite(lambdas, order, prec):
@@ -39,10 +35,10 @@ def power_sums_finite(lambdas, order, prec):
         return tuple(+sum((x**n for x in vals), mp.zero) for n in range(1, order + 1))
 
 
-def series_from_finite(lambdas, order, prec):
-    """CoefficientSeries built from a finite zero list via e_n."""
-    sigmas = [elementary_symmetric_finite(lambdas, n, prec) for n in range(order + 1)]
-    sigmas[0] = mp.one
+def series_from_finite(lambdas, order, prec=50):
+    """Exact CoefficientSeries of a finite rational zero list: sigma_n = e_n,
+    which is 0 past the list's length."""
+    sigmas = (esym_exact(lambdas) + [0] * order)[: order + 1]
     return CoefficientSeries(sigmas=tuple(sigmas), precision=prec)
 
 
@@ -53,21 +49,6 @@ SCALES = ("1", "-1", "-0.25", None)  # None stands in for -pi^2, filled at runti
 def _ambient_dps():
     with mp.workdps(80):
         yield
-
-
-def _rational_series(lambdas, order, prec=50):
-    """Exact sigma list for a finite rational lambda multiset."""
-    sig = [Fraction(1)]
-    for n in range(1, order + 1):
-        total = Fraction(0)
-        idx = list(range(len(lambdas)))
-        for combo in combinations(idx, n):
-            prod = Fraction(1)
-            for i in combo:
-                prod *= lambdas[i]
-            total += prod
-        sig.append(total)
-    return CoefficientSeries(sigmas=tuple(sig), precision=prec)
 
 
 def test_series_validation():
@@ -97,7 +78,7 @@ def test_report_validation():
 def test_recurrence_on_handworked_example():
     # lambdas {1, 1/2, 1/4}: sigma and s computable by hand
     lam = [Fraction(1), Fraction(1, 2), Fraction(1, 4)]
-    series = _rational_series(lam, 3)
+    series = series_from_finite(lam, 3)
     assert series.sigmas[1] == Fraction(7, 4)
     assert series.sigmas[2] == Fraction(7, 8)
     assert series.sigmas[3] == Fraction(1, 8)
@@ -113,26 +94,11 @@ def test_recurrence_matches_brute_force_random(rng):
         size = rng.randint(2, 6)
         lam = [Fraction(rng.randint(1, 400), 100) for _ in range(size)]
         order = rng.randint(1, size)
-        series = _rational_series(lam, order)
+        series = series_from_finite(lam, order)
         rep = power_sums_recurrence(series)
         direct = power_sums_finite(lam, order, 50)
         for n in range(1, order + 1):
             assert rel_err(rep.value(n), direct[n - 1]) < mp.mpf("1e-44")
-
-
-def test_elementary_symmetric_against_subsets(rng):
-    for _ in range(10):
-        size = rng.randint(1, 7)
-        lam = [to_real(Fraction(rng.randint(-300, 300), 97), 50) for _ in range(size)]
-        for n in range(size + 2):
-            got = elementary_symmetric_finite(lam, n, 50)
-            want = esym_subsets(lam, n)
-            if want == 0:
-                assert abs(got) < mp.mpf("1e-45")
-            else:
-                assert rel_err(got, want) < mp.mpf("1e-42")
-    with pytest.raises(DomainError):
-        elementary_symmetric_finite([1, 2], -1, 50)
 
 
 def test_determinant_known_cases():
@@ -185,7 +151,7 @@ def test_determinant_route_matches_recurrence_and_scales(rng):
     for _ in range(6):
         size = rng.randint(2, 6)
         lam = [Fraction(rng.randint(1, 150), 100) for _ in range(size)]
-        series = _rational_series(lam, size, prec=60)
+        series = series_from_finite(lam, size, prec=60)
         rec = power_sums_recurrence(series)
         for scale in SCALES:
             c = pi2 if scale is None else scale
@@ -194,7 +160,7 @@ def test_determinant_route_matches_recurrence_and_scales(rng):
             for n in range(1, size + 1):
                 assert rel_err(det.value(n), rec.value(n)) < mp.mpf("1e-45")
     with pytest.raises(ZeroScaleError):
-        power_sums_determinant(_rational_series([Fraction(1)], 1), scale=0)
+        power_sums_determinant(series_from_finite([Fraction(1)], 1), scale=0)
 
 
 def test_determinant_route_builds_one_matrix(monkeypatch):
@@ -220,7 +186,7 @@ def test_order_handling():
     # length of the zero list it came from
     lam = [Fraction(1, 2), Fraction(1, 3)]
     for order in (1, 2, 3):
-        series = _rational_series(lam, order)
+        series = series_from_finite(lam, order)
         direct = power_sums_finite(lam, order, 50)
         for rep in (power_sums_recurrence(series), power_sums_determinant(series)):
             assert rep.order == order
@@ -237,23 +203,3 @@ def test_series_from_finite_round_trip(rng):
     direct = power_sums_finite(lam, 5, 60)
     for n in range(1, 6):
         assert rel_err(rec.value(n), direct[n - 1]) < mp.mpf("1e-50")
-
-
-def test_derivative_ratio_identity_basics():
-    lam = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]
-    lhs, rhs = derivative_ratio_check(lam, Fraction(1, 10), 2, 60)
-    assert rel_err(lhs, rhs) < mp.mpf("1e-55")
-    # independent right side from first principles
-    with mp.workdps(75):
-        z = mp.mpf(1) / 10
-        shifted = [to_real(v, 60) / (1 - to_real(v, 60) * z) for v in lam]
-        assert rel_err(rhs, esym_subsets(shifted, 2)) < mp.mpf("1e-50")
-    # order zero reduces to f(z)/f(z); the two evaluations differ only by
-    # summation order, so the ratio is 1 up to working-precision roundoff
-    lhs0, rhs0 = derivative_ratio_check(lam, Fraction(1, 10), 0, 60)
-    assert rhs0 == 1
-    assert rel_err(lhs0, 1) < mp.mpf("1e-65")
-    with pytest.raises(DomainError):
-        derivative_ratio_check(lam, 0, 4, 60)
-    with pytest.raises(SingularInputError):
-        derivative_ratio_check(lam, 2, 1, 60)  # z = 1/lambda_1 = 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -26,12 +27,13 @@ from zerosum import (
     bessel_s_closed,
     bessel_zeros,
     check_precision,
-    derivative_ratio_check,
-    elementary_symmetric_finite,
     gamma,
+    kronecker_symbol,
     lower_triangular_system_matrix,
+    phi_riemann,
     pi_value,
     pochhammer,
+    power_sums_determinant,
     q_pochhammer_finite,
     qairy_s_closed,
     qairy_sigmas,
@@ -230,12 +232,10 @@ POSITIVE = "must be a positive integer, got "
         (lambda: panel_grid(0, 1, True, 8, 40), DomainError, "panel count " + POSITIVE + "True"),
         (lambda: lower_triangular_system_matrix((1, 2), -1, True), DomainError,
          "matrix order must be an integer in 1..1, got True"),
+        (lambda: kronecker_symbol(True, 5), DomainError, "kronecker symbol takes integer arguments"),
+        (lambda: kronecker_symbol(5, True), DomainError, "kronecker symbol takes integer arguments"),
         # library messages that took the shared wording
         (lambda: airy_raw_coefficient(-1), DomainError, "coefficient index " + NON_NEGATIVE + "-1"),
-        (lambda: elementary_symmetric_finite((1, 2), -1), DomainError,
-         "elementary symmetric index " + NON_NEGATIVE + "-1"),
-        (lambda: derivative_ratio_check((1, 2), 0, 3), DomainError,
-         "derivative order must be an integer in 0..2, got 3"),
         (lambda: XiEvaluator(prec=30).moment(-1), DomainError, "moment order " + NON_NEGATIVE + "-1"),
         (lambda: riemann_moments(0, 30), DomainError, "moment order " + POSITIVE + "0"),
         (lambda: riemann_s_closed((1,) * 6, 5), DomainError,
@@ -252,6 +252,16 @@ POSITIVE = "must be a positive integer, got "
         (lambda: DirichletCharacter(1, (0,)), DomainError, "modulus must be an integer >= 2, got 1"),
         (lambda: q_pochhammer_finite(1, Fraction(3, 2), 2), DomainError,
          "q must satisfy 0 < q < 1, got 3/2"),
+        # mpmath's TypeError for a real it cannot read, and the complex
+        # values it reads, are not ZerosumErrors
+        (lambda: bessel_zeros("abc", 3, 30), DomainError, "expected a real number, got 'abc'"),
+        (lambda: qairy_sigmas("x", 3, 30), DomainError, "expected a real number, got 'x'"),
+        (lambda: phi_riemann("abc", 30), DomainError, "expected a real number, got 'abc'"),
+        (lambda: power_sums_determinant(sinc_sigmas(3, 30), scale="abc"), DomainError,
+         "expected a real number, got 'abc'"),
+        (lambda: BesselParams(nu=None), DomainError, "expected a real number, got None"),
+        (lambda: BesselParams(nu=1j), DomainError, "expected a real number, got 1j"),
+        (lambda: phi_riemann(1j, 30), DomainError, "expected a real number, got 1j"),
         # the documented caps
         (lambda: bernoulli(65), LimitExceededError, "Bernoulli index 65 exceeds the cap 64"),
         (lambda: XiEvaluator(prec=30).moment(13), LimitExceededError,
@@ -273,9 +283,9 @@ POSITIVE = "must be a positive integer, got "
         "power_sum_value-bool",
         "panel_grid-bool",
         "system_matrix-bool",
+        "kronecker_symbol_a-bool",
+        "kronecker_symbol_n-bool",
         "airy_raw_coefficient",
-        "elementary_symmetric",
-        "derivative_ratio_check",
         "moment-negative",
         "riemann_moments-zero",
         "riemann_s_closed",
@@ -286,6 +296,13 @@ POSITIVE = "must be a positive integer, got "
         "legendre_rule",
         "character_modulus",
         "q_pochhammer-q",
+        "bessel_zeros-unreadable_nu",
+        "qairy_sigmas-unreadable_q",
+        "phi_riemann-unreadable_t",
+        "determinant-unreadable_scale",
+        "bessel_params-none_nu",
+        "bessel_params-complex_nu",
+        "phi_riemann-complex_t",
         "bernoulli-cap",
         "moment-cap",
         "riemann_moments-cap",
@@ -310,9 +327,11 @@ class _Located(Exception):
 @example(nu=Fraction(0), q=Fraction(0))
 @example(nu=Fraction(9, 10), q=Fraction(9, 10))
 @example(nu=Fraction(1), q=Fraction(1))
+@example(nu=math.inf, q=Fraction(1, 2))
 def test_nu_and_q_domains_have_one_check(nu, q):
-    # the coefficient layer takes nu > -1 and 0 < q < 1; the locators take
-    # nu > -1 and 0 < q <= 9/10; each rejection carries the one message
+    # the coefficient layer takes a finite nu > -1 and 0 < q < 1; the
+    # locators take a finite nu > -1 and 0 < q <= 9/10; each rejection
+    # carries the one message
     def outcome(call):
         try:
             call()
@@ -322,9 +341,10 @@ def test_nu_and_q_domains_have_one_check(nu, q):
             pass
         return None
 
-    nu_ok, q_ok = nu > -1, 0 < q < 1
-    bessel = None if nu_ok else f"Bessel order must satisfy nu > -1, got {nu}"
-    qbessel = None if nu_ok else f"q-Bessel order must satisfy nu > -1, got {nu}"
+    nu_ok, q_ok = -1 < nu < math.inf, 0 < q < 1
+    nu_rule = "be finite" if nu > -1 else "satisfy nu > -1"
+    bessel = None if nu_ok else f"Bessel order must {nu_rule}, got {nu}"
+    qbessel = None if nu_ok else f"q-Bessel order must {nu_rule}, got {nu}"
     coeff_q = None if q_ok else f"q must satisfy 0 < q < 1, got {q}"
     oracle_q = None if 0 < q <= Fraction(9, 10) else f"q must satisfy 0 < q <= 0.9, got {q}"
 

@@ -132,7 +132,7 @@ def _completed_l(chi, s):
 def _transform(z, chi=None):
     # the path xi_zeros runs: one level calibrated at z
     ev = XiEvaluator(chi=chi, prec=40)
-    ev.calibrate_transform([z])
+    ev.calibrate_transform(z)
     value, err = ev.transform_at(z)
     assert err <= mp.mpf(10) ** (-(ev.target_digits - 5))
     return value
@@ -483,7 +483,7 @@ def test_nested_levels_compute_each_node_once():
         return real(chi, t, dps, stop_abs)
 
     with mock.patch.object(zeta, "_phi_pass", counted):
-        level, _ = ev.calibrate_transform([40, 20, 12])
+        level, _ = ev.calibrate_transform(40)
         for k in range(level + 1):
             ev._trapezoid(k)
     n = zeta._TRAPEZOID_INTERVALS * 2**level
@@ -503,7 +503,7 @@ def _calibrated(d):
     # as xi_zeros builds and calibrates its evaluator
     chi = None if d is None else kronecker_character(d)
     ev = XiEvaluator(chi=chi, prec=30)
-    ev.calibrate_transform([40, 20, 12])
+    ev.calibrate_transform(40)
     return ev
 
 
@@ -524,10 +524,11 @@ def test_calibrated_transform_within_its_printed_bound(z, d):
 
 
 class _RecordingEvaluator(XiEvaluator):
-    # keeps the probes, the locked level and the swept range of one xi_zeros run
-    def calibrate_transform(self, z_probes):
-        self.probes = tuple(z_probes)
-        self.locked = super().calibrate_transform(self.probes)
+    # keeps the calibration argument, the locked level and the swept range
+    # of one xi_zeros run
+    def calibrate_transform(self, z_max):
+        self.z_max = z_max
+        self.locked = super().calibrate_transform(z_max)
         self.swept = []
         return self.locked
 
@@ -575,7 +576,7 @@ def _untruncated_trapezoid_sums(ev, z, top):
 def test_calibration_locks_the_lowest_level_the_strip_bound_allows(d, count):
     ev = _xi_zeros_evaluator(d, count)
     level, _ = ev.locked
-    z_max = max(ev.probes)
+    z_max = ev.z_max
     # log of the target 10^-target_digits e^(-pi z_max / 4)
     target = -ev.target_digits * math.log(10) - math.pi * z_max / 4
     assert ev._log_strip_bound(level, z_max) <= target
@@ -600,8 +601,8 @@ def _locked_level(d, count, prec):
         pass
 
     class Stop(XiEvaluator):
-        def calibrate_transform(self, z_probes):
-            locked.append(super().calibrate_transform(z_probes)[0])
+        def calibrate_transform(self, z_max):
+            locked.append(super().calibrate_transform(z_max)[0])
             raise Calibrated
 
     with mock.patch.object(oracle, "XiEvaluator", Stop), pytest.raises(Calibrated):
@@ -684,10 +685,9 @@ def test_strip_majorant_bounds_the_kernel_integral_on_the_strip_edge(d, i):
     case=st.sampled_from([(None, 16), (-3, 2), (None, 30, 50), (None, 50), (5, 20)]),
 )
 def test_transform_at_xi_zeros_probes_within_its_printed_bound(u, case):
-    # z runs from the scan start to t_end, the largest probe xi_zeros uses
+    # z runs from the scan start to t_end, where xi_zeros calibrates
     ev = _xi_zeros_evaluator(*case)
-    lo, hi = min(ev.swept), max(ev.probes)
-    assert hi == ev.probes[0]
+    lo, hi = min(ev.swept), ev.z_max
     z = lo + u * (hi - lo)
     s = mp.mpc(mp.mpf(1) / 2, z)
     want = _completed_zeta(s) if ev.chi is None else _completed_l(ev.chi, s)
@@ -906,7 +906,7 @@ def test_perfbench_hook_points_stay_on_the_call_path(monkeypatch):
     try:
         tracing.install(tracer, zerosum)
         ev = XiEvaluator(prec=30)
-        ev.calibrate_transform([20])
+        ev.calibrate_transform(20)
         ev.transform_at(20)
     finally:
         tracer.restore()
